@@ -468,8 +468,7 @@ class SetIterationRule(Rule):
 
 
 class AnnotationGateRule(Rule):
-    """TA008 — the public API of ``core``/``exec``/``analysis`` is fully
-    annotated.
+    """TA008 — the public API of the gated packages is fully annotated.
 
     The stdlib-enforced half of the strict typing gate: every public
     module-level function and every public method (plus ``__init__``)
@@ -481,13 +480,13 @@ class AnnotationGateRule(Rule):
     name = "annotation-gate"
     description = (
         "public functions/methods in core/, exec/, analysis/, serve/, "
-        "cache/ and metrics/ must annotate every parameter and the "
-        "return type"
+        "cache/, metrics/ and tsql2/ must annotate every parameter and "
+        "the return type"
     )
 
     def applies_to(self, source: SourceFile) -> bool:
         return source.in_scope(
-            "core", "exec", "analysis", "serve", "cache", "metrics"
+            "core", "exec", "analysis", "serve", "cache", "metrics", "tsql2"
         )
 
     @staticmethod

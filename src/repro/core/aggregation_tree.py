@@ -177,8 +177,12 @@ class AggregationTreeEvaluator(Evaluator):
         aggregate = self.aggregate
         counters = self.counters
         rows: List[ConstantInterval] = []
-        root = self.root if self.root is not None else self._new_root()
-        stack: List[tuple] = [(root, aggregate.identity())]
+        if self.root is None:
+            # Empty input: the initial root is the whole result, and it
+            # must stay reachable, or node_count() disagrees with the
+            # SpaceTracker that _new_root charged.
+            self.root = self._new_root()
+        stack: List[tuple] = [(self.root, aggregate.identity())]
         while stack:
             node, inherited = stack.pop()
             state = aggregate.merge(inherited, node.state)

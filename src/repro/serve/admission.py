@@ -17,8 +17,9 @@ here, keep it answerable under any client behavior:
    level     threshold           effect on newly admitted statements
    ========  ==================  =========================================
    0 NORMAL  below ``shed``      full service: shared result cache on
-   1 SHED    ``shed_load``       shed the shared cache once, stop
-                                 routing new statements through it
+   1 SHED    ``shed_load``       shed the shared cache once; statements
+                                 keep the same engine path and the
+                                 cache refills within its byte budget
    2 DEGRADE ``degrade_load``    additionally force the low-memory
                                  ``paged_tree`` strategy
    3 REJECT  ``reject_load``     refuse (``reason="overload"``) with a

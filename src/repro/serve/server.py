@@ -425,13 +425,14 @@ class QueryServer:
             deadline=Deadline.after_ms(self.config.deadline_ms),
             memory_budget_bytes=self.config.memory_budget_bytes,
             # Rung 2: force every new statement onto the low-memory
-            # spilling paged tree.
+            # spilling paged tree (an explicit strategy, so it bypasses
+            # the shared cache).  Rung 1's one effect, shedding the
+            # cache once per excursion, happened at admission; its
+            # statements keep the one engine path, and the cache
+            # refills only within its byte budget.
             strategy_override=(
                 "paged_tree" if level >= DegradationLevel.FORCE_PAGED else None
             ),
-            # Rung 1 already shed the shared cache; stop re-filling it
-            # until load returns to normal.
-            prefer_cache=(level is DegradationLevel.NORMAL),
         )
 
     def _debug_delay(self) -> None:

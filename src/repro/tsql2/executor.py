@@ -4,14 +4,22 @@ The executor glues the query language to the evaluation engine:
 
 1. parse the query text;
 2. semantic checks (table and attributes exist, bare select columns
-   are grouped, span grouping has a bounded window);
-3. apply the WHERE qualification in one pass over the relation;
-4. evaluate every aggregate call with the hinted algorithm — or let
-   the Section 6.3 planner choose — and zip the per-aggregate results
-   (all aggregates over the same tuples share the same constant
-   intervals, so zipping is sound);
-5. present the rows as a :class:`QueryResult` table with the valid
-   time exposed as ``valid_start`` / ``valid_end`` columns.
+   are grouped, span grouping has a bounded window, algorithm names
+   resolve);
+3. apply the WHERE qualification in one pass over the relation — a
+   statement without WHERE aggregates the registered relation (or
+   pinned snapshot) itself, with no copy;
+4. resolve ``(strategy, k)`` once per statement — the limits'
+   ``strategy_override``, else the USING ALGORITHM hint, else
+   ``"auto"`` — and send every aggregate call through
+   :func:`~repro.core.engine.temporal_aggregate`, the one path that
+   plans (Section 6.3, per aggregate and memory budget), sorts first,
+   degrades under the budget and serves repeated queries from the
+   shard-result cache.  Span grouping keeps its own algorithm;
+5. zip the per-aggregate results (all aggregates over the same tuples
+   share the same constant intervals, so zipping is sound) and present
+   the rows as a :class:`QueryResult` table with the valid time
+   exposed as ``valid_start`` / ``valid_end`` columns.
 """
 
 from __future__ import annotations
@@ -20,14 +28,14 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.store import cacheable_relation
 from repro.core.base import coerce_aggregate
+# make_evaluator is not called here; it stays importable from this
+# module because perfbench's layer tracer wraps it by this name.
 from repro.core.engine import STRATEGIES, make_evaluator, temporal_aggregate
 from repro.core.interval import FOREVER, Interval, format_instant
 from repro.core.calendar import CalendarError, calendar_span_aggregate
 from repro.core.planner import PlannerDecision, choose_strategy
 from repro.core.span_grouping import span_aggregate
-from repro.exec.budget import MemoryGuard, evaluate_with_degradation
 from repro.exec.deadline import Deadline
 from repro.relation.relation import TemporalRelation
 from repro.tsql2.ast import (
@@ -70,31 +78,51 @@ class TSQL2SemanticError(ValueError):
     unknown attribute, ungrouped select column, ...)."""
 
 
+def _strategy_name(name: str) -> str:
+    """The registry name behind an algorithm hint or override (aliases
+    resolved); unknown names are a semantic error."""
+    strategy = _STRATEGY_ALIASES.get(name, name)
+    if strategy not in STRATEGIES:
+        known = ", ".join(sorted(STRATEGIES))
+        raise TSQL2SemanticError(f"unknown algorithm {name!r}; known: {known}")
+    return strategy
+
+
+class _WorkingRelation(TemporalRelation):
+    """The rows qualifying a WHERE, or one GROUP BY partition of them.
+
+    A row subset has no identity that outlives its statement, so it
+    opts out of the result-cache protocol: the engine neither records
+    its query signature nor admits its results into the shared cache.
+    """
+
+    supports_result_cache = False
+
+
 @dataclass
 class StatementLimits:
-    """Per-statement execution limits and routing knobs.
+    """Per-statement execution limits.
 
     The serving layer (:mod:`repro.serve`) and the shell's
     ``\\deadline`` / ``\\budget`` session settings build one of these
-    per statement; plain library callers can ignore it entirely.
+    per statement; plain library callers can ignore it entirely.  Every
+    statement takes the same engine path with or without limits; the
+    limits only bound it.
 
     * ``deadline`` — one already-started wall-clock budget shared by
       every aggregate call the statement makes.
-    * ``memory_budget_bytes`` — run-time memory bound; an
-      aggregation-tree build that crosses it degrades to the spilling
-      paged tree instead of OOMing.
+    * ``memory_budget_bytes`` — handed to the planner and enforced at
+      run time; an aggregation-tree build that crosses it degrades to
+      the spilling paged tree instead of OOMing.
     * ``strategy_override`` — forces every call onto one strategy
       (the overload ladder downgrades statements to ``paged_tree``
-      this way); wins over USING ALGORITHM hints.
-    * ``prefer_cache`` — route unfiltered instant queries through the
-      full engine (``temporal_aggregate``), which serves them from the
-      shard-result cache when the relation carries the cache protocol.
+      this way, which also bypasses the shard-result cache); wins over
+      USING ALGORITHM hints.
     """
 
     deadline: Optional[Deadline] = None
     memory_budget_bytes: Optional[int] = None
     strategy_override: Optional[str] = None
-    prefer_cache: bool = False
 
     @classmethod
     def from_options(
@@ -102,21 +130,18 @@ class StatementLimits:
         deadline_ms: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         strategy_override: Optional[str] = None,
-        prefer_cache: bool = False,
     ) -> "Optional[StatementLimits]":
         """Build limits from plain options; None when nothing is set."""
         if (
             deadline_ms is None
             and memory_budget_bytes is None
             and strategy_override is None
-            and not prefer_cache
         ):
             return None
         return cls(
             deadline=Deadline.after_ms(deadline_ms),
             memory_budget_bytes=memory_budget_bytes,
             strategy_override=strategy_override,
-            prefer_cache=prefer_cache,
         )
 
 
@@ -225,7 +250,6 @@ class Database:
         deadline_ms: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         strategy_override: Optional[str] = None,
-        prefer_cache: bool = False,
     ) -> QueryResult:
         """Parse and run one query.
 
@@ -233,66 +257,88 @@ class Database:
         empty (None, or 0 for COUNT) — TSQL2's presentation of Table 1.
 
         ``limits`` (or the equivalent plain options ``deadline_ms``,
-        ``memory_budget_bytes``, ``strategy_override``,
-        ``prefer_cache``) bound and route this one statement — see
-        :class:`StatementLimits`.  A tripped deadline raises
-        :class:`~repro.exec.errors.DeadlineExceeded`; a tripped memory
-        budget degrades tree builds to the spilling paged tree.
+        ``memory_budget_bytes``, ``strategy_override``) bound this one
+        statement — see :class:`StatementLimits`.  A tripped deadline
+        raises :class:`~repro.exec.errors.DeadlineExceeded`; a tripped
+        memory budget degrades tree builds to the spilling paged tree.
         """
         if limits is None:
             limits = StatementLimits.from_options(
                 deadline_ms=deadline_ms,
                 memory_budget_bytes=memory_budget_bytes,
                 strategy_override=strategy_override,
-                prefer_cache=prefer_cache,
             )
         query = parse(text)
         relation = self.relation(query.table)
         self._check_semantics(query, relation)
-        if limits is not None and limits.strategy_override is not None:
-            override = _STRATEGY_ALIASES.get(
-                limits.strategy_override, limits.strategy_override
-            )
-            if override not in STRATEGIES:
-                known = ", ".join(sorted(STRATEGIES))
-                raise TSQL2SemanticError(
-                    f"unknown override strategy {override!r}; known: {known}"
-                )
-        filtered = self._apply_where(query, relation)
+        strategy, k = self._statement_strategy(query, limits)
+        source = self._apply_where(query, relation)
 
         if query.explain:
-            return self._explain(query, relation, filtered)
+            return self._explain(query, source, strategy, k, limits)
 
         if query.group_by.kind == "span":
-            result = self._execute_span(query, relation, filtered, limits)
+            result = self._execute_span(query, source, limits)
         elif query.group_by.attributes:
-            result = self._execute_grouped(query, relation, filtered, limits)
+            result = self._execute_grouped(query, source, strategy, k, limits)
         else:
-            result = self._execute_instant(query, relation, filtered, limits)
+            result = self._execute_instant(query, source, strategy, k, limits)
 
         if not keep_empty:
             result = self._drop_empty(query, result)
         return result
+
+    @staticmethod
+    def _statement_strategy(
+        query: Query, limits: Optional[StatementLimits]
+    ) -> Tuple[str, Optional[int]]:
+        """``(strategy, k)`` for every aggregate call of the statement.
+
+        The limits' override wins (the overload ladder bounds a
+        statement this way), then the USING ALGORITHM hint; otherwise
+        ``"auto"`` lets the engine's planner choose per call.
+        """
+        if limits is not None and limits.strategy_override is not None:
+            return _strategy_name(limits.strategy_override), None
+        if query.hint is not None:
+            strategy = _strategy_name(query.hint.strategy)
+            return strategy, query.hint.k if strategy == "kordered_tree" else None
+        return "auto", None
 
     # ------------------------------------------------------------------
     # EXPLAIN
     # ------------------------------------------------------------------
 
     def _explain(
-        self, query: Query, relation: TemporalRelation, rows: List
+        self,
+        query: Query,
+        source: Any,
+        strategy: str,
+        k: Optional[int],
+        limits: Optional[StatementLimits],
     ) -> QueryResult:
-        """The Section 6.3 plan for the query, without executing it."""
-        working = TemporalRelation(relation.schema, rows, name="qualifying")
-        statistics = working.statistics()
-        if query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(query.hint.strategy, query.hint.strategy)
-            decision = PlannerDecision(
-                strategy=strategy,
-                k=query.hint.k,
-                reason="strategy forced by USING ALGORITHM hint",
+        """The plan the statement's first aggregate call would run,
+        without executing it (and without recording the query, so the
+        cache's repeat detection is untouched)."""
+        statistics = source.statistics()
+        calls = query.aggregate_calls()
+        if strategy == "auto":
+            decision = choose_strategy(
+                statistics,
+                aggregate=coerce_aggregate(calls[0].function),
+                memory_budget_bytes=(
+                    limits.memory_budget_bytes if limits is not None else None
+                ),
             )
         else:
-            decision = choose_strategy(statistics)
+            overridden = limits is not None and limits.strategy_override is not None
+            forced_by = (
+                "the statement limits' override" if overridden
+                else "USING ALGORITHM hint"
+            )
+            decision = PlannerDecision(
+                strategy=strategy, k=k, reason=f"strategy forced by {forced_by}"
+            )
         table = [
             ("strategy", decision.strategy),
             ("k", decision.k if decision.k is not None else ""),
@@ -303,7 +349,7 @@ class Database:
             ("unique timestamps", statistics.unique_timestamps),
             ("measured k-orderedness", statistics.k),
             ("long-lived fraction", round(statistics.long_lived_fraction, 3)),
-            ("aggregate calls", len(query.aggregate_calls())),
+            ("aggregate calls", len(calls)),
         ]
         return QueryResult(["property", "value"], table)
 
@@ -349,15 +395,15 @@ class Database:
                     f"attribute of {query.table!r}"
                 )
         if query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(query.hint.strategy, query.hint.strategy)
-            if strategy not in STRATEGIES:
-                known = ", ".join(sorted(STRATEGIES))
-                raise TSQL2SemanticError(
-                    f"unknown algorithm {query.hint.strategy!r}; known: {known}"
-                )
+            _strategy_name(query.hint.strategy)
 
-    def _apply_where(self, query: Query, relation: TemporalRelation) -> List:
-        rows = list(relation.scan())
+    def _apply_where(self, query: Query, relation: TemporalRelation) -> Any:
+        """The relation the statement aggregates: ``relation`` itself
+        when there is no WHERE, else a working relation holding the
+        qualifying rows (filtered in one pass)."""
+        if not query.where:
+            return relation
+        rows: Any = relation.scan()
         for condition in query.where:
             if isinstance(condition, ValidOverlaps):
                 window = Interval(condition.start, condition.end)
@@ -373,68 +419,38 @@ class Database:
                 rows = [
                     row for row in rows if compare(row.values[position], literal)
                 ]
-        return rows
+        return _WorkingRelation(relation.schema, rows, name="qualifying")
 
     # ------------------------------------------------------------------
-    # Evaluation paths
+    # Evaluation
     # ------------------------------------------------------------------
 
-    def _resolve_strategy(
+    def _aggregate_calls(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits] = None,
-    ) -> Tuple[str, Optional[int]]:
-        if limits is not None and limits.strategy_override is not None:
-            # The overload-degradation ladder (and any other caller
-            # bounding a statement) wins over per-query hints.
-            override = _STRATEGY_ALIASES.get(
-                limits.strategy_override, limits.strategy_override
-            )
-            return override, None
-        if query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(query.hint.strategy, query.hint.strategy)
-            return strategy, query.hint.k
-        working = TemporalRelation(relation.schema, rows, name="filtered")
-        decision = choose_strategy(working.statistics())
-        # The executor evaluates in memory, so a sort-first plan reduces
-        # to sorting the working rows before evaluation.
-        if decision.sort_first:
-            rows.sort(key=lambda row: (row.start, row.end))
-        return decision.strategy, decision.k
-
-    def _evaluate_calls(
-        self,
-        query: Query,
-        relation: TemporalRelation,
-        rows: List,
+        source: Any,
         strategy: str,
         k: Optional[int],
-        limits: Optional[StatementLimits] = None,
+        limits: Optional[StatementLimits],
     ) -> Dict[AggregateCall, Any]:
-        """One TemporalAggregateResult per distinct aggregate call."""
+        """One TemporalAggregateResult per distinct aggregate call, each
+        through the engine (planning, sort-first, budget degradation,
+        invariant checks and cache eligibility all live there)."""
         deadline = limits.deadline if limits is not None else None
         budget = limits.memory_budget_bytes if limits is not None else None
         results: Dict[AggregateCall, Any] = {}
         for call in query.aggregate_calls():
             if deadline is not None:
                 deadline.check(aggregate=call.label())
-            extractor = relation.value_extractor(call.argument)
-            triples = [(row.start, row.end, extractor(row)) for row in rows]
-            evaluator = make_evaluator(
-                strategy,
+            results[call] = temporal_aggregate(
+                source,
                 call.function,
-                k=k if strategy == "kordered_tree" else None,
-                deadline=deadline,
+                call.argument,
+                strategy=strategy,
+                k=k,
+                memory_budget_bytes=budget,
+                deadline_ms=deadline,
             )
-            if budget is not None and strategy == "aggregation_tree":
-                guard = MemoryGuard(budget, evaluator.space)
-                results[call], _trip = evaluate_with_degradation(
-                    evaluator, triples, guard, deadline=deadline
-                )
-            else:
-                results[call] = evaluator.evaluate(triples)
         return results
 
     # ------------------------------------------------------------------
@@ -516,75 +532,29 @@ class Database:
     def _execute_instant(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits] = None,
+        source: Any,
+        strategy: str,
+        k: Optional[int],
+        limits: Optional[StatementLimits],
     ) -> QueryResult:
         columns = ["valid_start", "valid_end"] + [
             item.label() for item in self._output_items(query)
         ]
-        fast = self._engine_results(query, relation, rows, limits)
-        if fast is not None:
-            return QueryResult(columns, self._item_rows(query, fast))
-        strategy, k = self._resolve_strategy(query, relation, rows, limits)
-        results = self._evaluate_calls(query, relation, rows, strategy, k, limits)
+        results = self._aggregate_calls(query, source, strategy, k, limits)
         return QueryResult(columns, self._item_rows(query, results))
-
-    def _engine_results(
-        self,
-        query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits],
-    ) -> Optional[Dict[AggregateCall, Any]]:
-        """Cache-eligible fast path: route whole-relation instant queries
-        through :func:`temporal_aggregate` so the shard-result cache (and
-        append-delta maintenance) can serve them.
-
-        Only taken when the caller opted in (``limits.prefer_cache``) and
-        the query covers the relation unfiltered — a WHERE-qualified row
-        subset has no stable identity for cache keys.  Returns None when
-        ineligible, deferring to the per-statement evaluator path.
-        """
-        if limits is None or not limits.prefer_cache:
-            return None
-        if query.where or not cacheable_relation(relation):
-            return None
-        if len(rows) != len(relation):
-            return None
-        if limits.strategy_override is not None:
-            strategy = _STRATEGY_ALIASES.get(
-                limits.strategy_override, limits.strategy_override
-            )
-        elif query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(
-                query.hint.strategy, query.hint.strategy
-            )
-        else:
-            strategy = "auto"
-        results: Dict[AggregateCall, Any] = {}
-        for call in query.aggregate_calls():
-            results[call] = temporal_aggregate(
-                relation,
-                call.function,
-                call.argument,
-                strategy=strategy,
-                memory_budget_bytes=limits.memory_budget_bytes,
-                deadline_ms=limits.deadline,
-            )
-        return results
 
     def _execute_grouped(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits] = None,
+        source: Any,
+        strategy: str,
+        k: Optional[int],
+        limits: Optional[StatementLimits],
     ) -> QueryResult:
-        schema = relation.schema
+        schema = source.schema
         positions = [schema.position_of(name) for name in query.group_by.attributes]
         partitions: Dict[Tuple, List] = {}
-        for row in rows:
+        for row in source.scan():
             key = tuple(row.values[p] for p in positions)
             partitions.setdefault(key, []).append(row)
 
@@ -595,11 +565,8 @@ class Database:
         )
         table: List[Tuple] = []
         for key in sorted(partitions, key=repr):
-            group_rows = partitions[key]
-            strategy, k = self._resolve_strategy(query, relation, group_rows, limits)
-            results = self._evaluate_calls(
-                query, relation, group_rows, strategy, k, limits
-            )
+            group = _WorkingRelation(schema, partitions[key], name="group")
+            results = self._aggregate_calls(query, group, strategy, k, limits)
             for row in self._item_rows(query, results):
                 table.append(key + row)
         return QueryResult(columns, table)
@@ -607,10 +574,10 @@ class Database:
     def _execute_span(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits] = None,
+        source: Any,
+        limits: Optional[StatementLimits],
     ) -> QueryResult:
+        rows = list(source.scan())
         group_by = query.group_by
         if group_by.window is not None:
             window = Interval(*group_by.window)
@@ -636,7 +603,7 @@ class Database:
         for call in query.aggregate_calls():
             if limits is not None and limits.deadline is not None:
                 limits.deadline.check(aggregate=call.label())
-            extractor = relation.value_extractor(call.argument)
+            extractor = source.value_extractor(call.argument)
             triples = [(row.start, row.end, extractor(row)) for row in rows]
             if group_by.unit is not None:
                 try:

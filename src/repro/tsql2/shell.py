@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from repro.core.planner import choose_strategy
 from repro.exec.errors import (
@@ -328,7 +328,11 @@ def _interactive_lines(prompt: str):
             return
 
 
-def main(argv=None, stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -> int:
+def main(
+    argv: Optional[Sequence[str]] = None,
+    stdin: Optional[TextIO] = None,
+    stdout: Optional[TextIO] = None,
+) -> int:
     """Entry point for ``python -m repro.tsql2``.
 
     ``-c QUERY`` runs one query and exits; ``--load PATH [--load ...]``

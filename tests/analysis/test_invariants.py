@@ -189,6 +189,17 @@ class TestSpaceAccountingCheck:
         with pytest.raises(InvariantViolation, match="eviction"):
             evaluator.evaluate([(s, e, None) for s, e, _ in TRIPLES])
 
+    @pytest.mark.parametrize(
+        "strategy", ["aggregation_tree", "kordered_tree", "paged_tree"]
+    )
+    def test_empty_input_keeps_its_root_accounted(
+        self, invariant_checks, strategy
+    ):
+        """An empty evaluation still holds the initial root, and the
+        tracker that charged for it must see it live."""
+        result = evaluate_triples([], "count", strategy)
+        assert [tuple(row) for row in result] == [(ORIGIN, FOREVER, 0)]
+
 
 class TestEngineHook:
     def test_wrong_evaluator_caught_at_the_engine_boundary(

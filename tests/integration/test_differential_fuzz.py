@@ -1,10 +1,10 @@
 """Differential fuzzing: the TSQL2 executor vs the direct API.
 
 Hypothesis generates random relations and random well-formed queries
-(qualifications, aggregates, hints); the executor's answer must equal
-the result of manually filtering the rows and running the reference
-oracle.  Any divergence between the language path and the library path
-is a bug in one of them.
+(qualifications, aggregates, hints, statement limits); the executor's
+answer must equal the result of manually filtering the rows and running
+the reference oracle.  Any divergence between the language path and
+the library path is a bug in one of them.
 """
 
 import pytest
@@ -36,6 +36,12 @@ hints = st.sampled_from(
      " USING ALGORITHM balanced", " USING ALGORITHM tuma",
      " USING ALGORITHM paged"]
 )
+#: Statement limits as the serving ladder sets them: none, the
+#: FORCE_PAGED override, and a budget small enough to force sort-first
+#: plans and mid-flight tree degradation.
+limits_options = st.sampled_from(
+    [{}, {"strategy_override": "paged_tree"}, {"memory_budget_bytes": 256}]
+)
 
 _PY_OPS = {
     "<": lambda a, b: a < b,
@@ -55,15 +61,20 @@ def build_relation(rows) -> TemporalRelation:
 
 
 class TestDifferentialFuzz:
-    @given(rows=rows_strategy, aggregate=aggregates, hint=hints)
+    @given(
+        rows=rows_strategy,
+        aggregate=aggregates,
+        hint=hints,
+        limits=limits_options,
+    )
     @settings(max_examples=40, deadline=None)
-    def test_plain_aggregate_matches_oracle(self, rows, aggregate, hint):
+    def test_plain_aggregate_matches_oracle(self, rows, aggregate, hint, limits):
         relation = build_relation(rows)
         db = Database()
         db.register(relation)
         attribute = "name" if aggregate == "count" else "salary"
         query = f"SELECT {aggregate.upper()}({attribute}) FROM Fuzz{hint}"
-        result = db.execute(query)
+        result = db.execute(query, **limits)
 
         oracle = ReferenceEvaluator(aggregate).evaluate(
             [(r.start, r.end, r.values[1]) for r in relation]
@@ -77,10 +88,11 @@ class TestDifferentialFuzz:
         aggregate=aggregates,
         operator=operators,
         threshold=st.integers(min_value=0, max_value=100),
+        limits=limits_options,
     )
     @settings(max_examples=40, deadline=None)
     def test_where_clause_matches_manual_filter(
-        self, rows, aggregate, operator, threshold
+        self, rows, aggregate, operator, threshold, limits
     ):
         relation = build_relation(rows)
         db = Database()
@@ -90,7 +102,7 @@ class TestDifferentialFuzz:
             f"SELECT {aggregate.upper()}({attribute}) FROM Fuzz "
             f"WHERE salary {operator} {threshold * 1000}"
         )
-        result = db.execute(query)
+        result = db.execute(query, **limits)
 
         compare = _PY_OPS[operator]
         kept = [

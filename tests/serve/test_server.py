@@ -13,8 +13,10 @@ import time
 
 import pytest
 
+from repro.cache.store import default_cache
 from repro.exec.errors import DeadlineExceeded, ServerOverloaded
-from repro.serve import QueryClient, RemoteQueryError
+from repro.serve import QueryClient, QueryServer, RemoteQueryError, ServerConfig
+from repro.serve.admission import DegradationLevel
 from repro.serve.protocol import recv_frame, send_frame
 from repro.tsql2.executor import Database
 
@@ -279,6 +281,57 @@ class TestAdmissionOverTheWire:
                 reply = client.query(COUNT)
                 assert reply.degraded == 0
                 assert [tuple(r) for r in reply.rows] == serial_rows(64, COUNT)
+
+
+class TestLadderRouting:
+    """Every rung below REJECT runs statements on the one engine path;
+    the rungs differ only in what they shed or force."""
+
+    def _three_runs(self, level):
+        server = QueryServer(ServerConfig())
+        served = server.register(make_relation(4096), name="jobs")
+        database = Database()
+        database.register(served.pin(), name="jobs")
+        counters = default_cache().counters
+        tallies, answers = [], []
+        for _ in range(3):
+            result = database.execute(
+                COUNT, limits=server._statement_limits(level)
+            )
+            answers.append([tuple(row) for row in result.rows])
+            tallies.append((counters.cache_misses, counters.cache_hits))
+        assert answers == [serial_rows(4096, COUNT)] * 3
+        return tallies
+
+    def test_shed_cache_statements_refill_and_hit_the_cache(self):
+        # Run 1 notes the signature, run 2 misses and fills the cache,
+        # run 3 is served from it.
+        assert self._three_runs(DegradationLevel.SHED_CACHE) == [
+            (0, 0), (1, 0), (1, 1),
+        ]
+
+    def test_force_paged_statements_bypass_the_cache(self):
+        assert self._three_runs(DegradationLevel.FORCE_PAGED) == [(0, 0)] * 3
+
+    def test_shed_excursion_over_the_wire_hits_the_refilled_cache(self):
+        """Three pipelined statements on one worker: all admitted at
+        SHED_CACHE inside one excursion, so the cache is shed once and
+        the third statement hits what the second stored."""
+        with serve(
+            relation=make_relation(4096), workers=1, max_queue_depth=10,
+            debug_statement_delay_ms=100.0, shed_load=0.5, degrade_load=10.0,
+            reject_load=20.0,
+        ) as runner:
+            with QueryClient(runner.host, runner.port) as client:
+                for _ in range(3):
+                    client.send({"op": "query", "text": COUNT})
+                replies = [client.recv_raw() for _ in range(3)]
+                stats = client.stats()
+        assert [r["degraded"] for r in replies] == [1, 1, 1]
+        expected = [list(row) for row in serial_rows(4096, COUNT)]
+        assert [r["rows"] for r in replies] == [expected] * 3
+        assert stats["admission"]["cache_sheds"] == 1
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (1, 1)
 
 
 class TestFairness:

@@ -84,3 +84,42 @@ class TestExecution:
             )
         )
         assert plan["aggregate calls"] == 2
+
+    def test_override_is_the_reported_strategy(self, db):
+        plan = plan_of(
+            db.execute(
+                "EXPLAIN SELECT COUNT(Name) FROM Employed USING ALGORITHM tree",
+                strategy_override="paged",
+            )
+        )
+        assert plan["strategy"] == "paged_tree"
+        assert "override" in plan["reason"]
+
+    def test_memory_budget_shapes_the_plan(self, db):
+        free = plan_of(db.execute("EXPLAIN SELECT SUM(salary) FROM Big"))
+        tight = plan_of(
+            db.execute(
+                "EXPLAIN SELECT SUM(salary) FROM Big", memory_budget_bytes=1024
+            )
+        )
+        assert free["strategy"] == "aggregation_tree"
+        assert (tight["strategy"], tight["sort first"]) == ("kordered_tree", "yes")
+
+    def test_explain_leaves_repeat_detection_alone(self, db):
+        """EXPLAIN must not record the query signature: the first real
+        run afterwards is still a first sighting, not a cached repeat."""
+        from repro.cache.store import ShardResultCache, set_default_cache
+
+        cache = ShardResultCache()
+        set_default_cache(cache)
+        try:
+            big = generate_relation(WorkloadParameters(tuples=4096, seed=5))
+            db.register(big, name="Wide")
+            for _ in range(2):
+                db.execute("EXPLAIN SELECT COUNT(name) FROM Wide")
+            db.execute("SELECT COUNT(name) FROM Wide")
+            assert cache.counters.cache_misses == 0
+            db.execute("SELECT COUNT(name) FROM Wide")
+            assert cache.counters.cache_misses == 1
+        finally:
+            set_default_cache(None)

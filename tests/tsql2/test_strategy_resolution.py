@@ -73,3 +73,93 @@ class TestAutoResolution:
         )
         plain = db.execute("SELECT COUNT(name) FROM Sorted")
         assert result.rows == plain.rows
+
+
+class TestEnginePlanning:
+    """Filtered and grouped statements plan through the engine's
+    planner, with each call's aggregate and the statement's budget."""
+
+    @pytest.fixture(scope="class")
+    def table3(self):
+        database = Database()
+        database.register(
+            generate_relation(WorkloadParameters(tuples=40_000, seed=1)),
+            name="T",
+        )
+        return database
+
+    @pytest.fixture
+    def strategies_run(self, monkeypatch):
+        """Every strategy an evaluator is built for, in call order."""
+        import repro.core.engine as engine
+
+        seen = []
+        original = engine.make_evaluator
+
+        def recording(strategy, *args, **kwargs):
+            seen.append(strategy)
+            return original(strategy, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "make_evaluator", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "text, options, expected",
+        [
+            # MIN is not invertible: no sweep, the plain tree.
+            ("SELECT MIN(salary) FROM T WHERE salary > 0", {},
+             "aggregation_tree"),
+            # Neither the sweep's events nor the tree fit the budget:
+            # sort first, then the k-ordered tree.
+            ("SELECT SUM(salary) FROM T WHERE salary > 0",
+             {"memory_budget_bytes": 65_536}, "kordered_tree"),
+        ],
+    )
+    def test_filtered_statement_runs_and_explains_the_engine_plan(
+        self, table3, strategies_run, text, options, expected
+    ):
+        plan = dict(table3.execute("EXPLAIN " + text, **options).rows)
+        assert strategies_run == []
+        table3.execute(text, **options)
+        assert strategies_run == [expected]
+        assert plan["strategy"] == expected
+        assert plan["sort first"] == ("yes" if options else "no")
+
+    def test_grouped_statement_plans_each_partition(self, db, strategies_run):
+        db.execute(
+            "SELECT name, MIN(salary), SUM(salary) FROM W GROUP BY name"
+        )
+        groups = len({row.values[0] for row in db.relation("W")})
+        assert len(strategies_run) == 2 * groups
+
+
+class TestCacheEligibility:
+    """WHERE-qualified rows and GROUP BY partitions have no identity
+    beyond their statement: they stay out of the shared cache and its
+    repeat detection, while the unfiltered relation takes part."""
+
+    def test_row_subsets_never_reach_the_shared_cache(self, db, monkeypatch):
+        from repro.cache.store import ShardResultCache, set_default_cache
+
+        cache = ShardResultCache()
+        noted = []
+        monkeypatch.setattr(
+            cache, "note_query", lambda *signature: noted.append(signature)
+        )
+        set_default_cache(cache)
+        try:
+            for text in (
+                "SELECT SUM(salary) FROM W WHERE salary > 0",
+                "SELECT name, COUNT(salary) FROM W GROUP BY name",
+                "SELECT SUM(salary) FROM W WHERE salary > 0 "
+                "USING ALGORITHM cached_sweep",
+                "SELECT name, SUM(salary) FROM W GROUP BY name "
+                "USING ALGORITHM cached_sweep",
+            ):
+                db.execute(text)
+            assert noted == []
+            assert len(cache) == 0
+            db.execute("SELECT SUM(salary) FROM W")
+            assert noted == [(db.relation("W").uid, "sum", "salary")]
+        finally:
+            set_default_cache(None)
