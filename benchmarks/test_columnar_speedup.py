@@ -93,7 +93,7 @@ def test_shape_columnar_rows_match_object_rows(benchmark, aggregate):
         assert serial.evaluate_relation(heap, attribute).rows == expected
         assert serial.counters.tuple_materializations == 0
         assert serial.counters.column_batches >= 1
-        parallel = ParallelSweepEvaluator(aggregate, shards=4, use_processes=False)
+        parallel = ParallelSweepEvaluator(aggregate, shards=4)
         assert parallel.evaluate_relation(relation, attribute).rows == expected
         assert parallel.counters.tuple_materializations == 0
         counters = OperationCounters()

@@ -30,14 +30,14 @@ def _write_parallel_json(reports, csv_dir) -> str:
     acceptance checks can read the numbers without scraping tables.
     """
     from repro.bench.config import bench_seeds, bench_sizes
-    from repro.core.parallel import POOL_MIN_TUPLES
     from repro.core.partition import available_workers
+    from repro.exec.pool import pool_min_tuples
 
     payload = {
         "generated_by": "python -m repro.bench parallel",
         "cpu_count": os.cpu_count(),
         "available_workers": available_workers(),
-        "pool_min_tuples": POOL_MIN_TUPLES,
+        "pool_min_tuples": pool_min_tuples(),
         "sizes": bench_sizes(),
         "seeds": bench_seeds(),
         "reports": [report.to_dict() for report in reports],

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.base import Triple
 from repro.core.engine import make_evaluator
@@ -48,14 +48,25 @@ def measure_strategy(
     aggregate: str = "count",
     k: Optional[int] = None,
     shards: Optional[int] = None,
+    *,
+    relation: Any = None,
 ) -> Measurement:
-    """Time one in-memory evaluation with counters and space tracking."""
+    """Time one in-memory evaluation with counters and space tracking.
+
+    With ``relation`` (holding the same tuples), the timed call is
+    ``evaluate_relation`` over its identified column snapshot — which
+    the resident pool can publish — instead of ``evaluate`` over the
+    anonymous ``triples``.
+    """
     counters = OperationCounters()
     evaluator = make_evaluator(
         strategy, aggregate, k=k, shards=shards, counters=counters
     )
     started = time.perf_counter()
-    result = evaluator.evaluate(list(triples))
+    if relation is None:
+        result = evaluator.evaluate(list(triples))
+    else:
+        result = evaluator.evaluate_relation(relation)
     elapsed = time.perf_counter() - started
     space: SpaceTracker = evaluator.space
     return Measurement(

@@ -20,11 +20,12 @@ watermark, chained fingerprint — see
   shard_bounds`), sweep every window, stitch, and store.
 
 All three paths emit the same rows the uncached evaluators produce:
-the per-window kernel is shared with ``parallel_sweep``
-(:func:`repro.core.columnar_sweep.window_rows`) and stitching heals
-exactly the artificial seams.  Uncacheable inputs — relations without
-the protocol, unregistered aggregate instances, empty relations — fall
-through to the plain columnar sweep.
+the windows are swept through the same gate as ``parallel_sweep``
+(:func:`repro.exec.pool.sweep_shards` — the resident pool when one is
+running and the input qualifies, in-process otherwise) and stitching
+heals exactly the artificial seams.  Uncacheable inputs — relations
+without the protocol, unregistered aggregate instances, empty
+relations — fall through to the plain columnar sweep.
 
 ``REPRO_CHECK_INVARIANTS=1`` adds a sampled-shard audit on every pure
 hit: one cached window is re-swept from the live relation and compared
@@ -34,18 +35,15 @@ row for row (:func:`repro.analysis.invariants.verify_cached_shards`).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Tuple
 
 from repro.analysis import invariants as _invariants
 from repro.core.base import Evaluator, Triple, coerce_aggregate
-from repro.core.columnar_sweep import (
-    ColumnarSweepEvaluator,
-    validate_columns,
-    window_rows,
-)
+from repro.core.columnar_sweep import ColumnarSweepEvaluator, validate_columns
 from repro.core.parallel import registered_instance
 from repro.core.partition import available_workers, shard_bounds, stitch_rows
 from repro.core.result import ConstantInterval, TemporalAggregateResult
+from repro.exec.pool import sweep_shards
 from repro.exec.validation import validate_shards
 from repro.cache.store import (
     CachedEntry,
@@ -166,8 +164,8 @@ def _scan_columns(
 
     The fourth return is the :class:`~repro.core.columns.ColumnSet`
     itself when the relation produced one (None otherwise) — the
-    resident execution backend needs its identity stamp to key a
-    shared-memory publication.
+    resident pool needs its identity stamp to key a shared-memory
+    publication.
     """
     columns_method = getattr(relation, "columns", None)
     if callable(columns_method):
@@ -180,59 +178,6 @@ def _scan_columns(
         counters.tuple_materializations += len(starts)
     validate_columns(starts, ends)
     return starts, ends, values, columns
-
-
-def _pool_sweep(
-    columns: Any,
-    starts: Any,
-    ends: Any,
-    values: Any,
-    sweep_windows: List[Tuple[int, int]],
-    aggregate: "Aggregate",
-    counters: "OperationCounters",
-    deadline: "Optional[Deadline]",
-) -> Optional[List[Tuple[List[tuple], int]]]:
-    """Sweep ``sweep_windows`` on the resident pool, if it applies.
-
-    Engages for identified column snapshots at or above the
-    ``REPRO_POOL_MIN_TUPLES`` threshold with more than one window to
-    sweep — and only when a resident pool is *already running*
-    (:func:`repro.exec.pool.active_pool`).  The cache evaluator never
-    creates the pool itself: it runs on server executor threads
-    mid-query, where a lazy first-touch fork would fork a
-    multi-threaded process at an arbitrary point, and
-    ``ServerConfig(pool_workers=0)`` promises statements evaluate
-    in-process.  Returns per-window ``(rows, events)`` (worker counter
-    deltas already merged into ``counters``) or None for the serial
-    in-process path.
-    """
-    if columns is None or len(sweep_windows) <= 1:
-        return None
-    if getattr(columns, "uid", None) is None or columns.version is None:
-        return None
-    from repro.exec.pool import active_pool, pool_min_tuples
-
-    if len(starts) < pool_min_tuples():
-        return None
-    pool = active_pool()
-    if pool is None:
-        return None
-    outcome = pool.sweep_columns(
-        starts,
-        ends,
-        values,
-        sweep_windows,
-        aggregate.name,
-        uid=columns.uid,
-        version=columns.version,
-        column_key=columns.column_key,
-        owner=columns,
-        deadline=deadline,
-        counters=counters,
-    )
-    if outcome is None:
-        return None
-    return outcome[0]
 
 
 def _finish(
@@ -291,23 +236,19 @@ def _refresh_append(
         shard_rows=list(entry.shard_rows),
         rows=[],
     )
-    events_by_shard: List[int] = []
-    dirty_windows = [windows[index] for index in dirty]
-    pooled = _pool_sweep(
-        columns, starts, ends, values, dirty_windows, aggregate, counters, deadline
+    swept, _report = sweep_shards(
+        starts,
+        ends,
+        values,
+        [windows[index] for index in dirty],
+        aggregate,
+        columns=columns,
+        counters=counters,
+        deadline=deadline,
     )
-    if pooled is not None:
-        for index, (rows, events) in zip(dirty, pooled):
-            refreshed.shard_rows[index] = rows
-            events_by_shard.append(events)
-    else:
-        for position, index in enumerate(dirty):
-            if deadline is not None:
-                deadline.check(completed_shards=position, total_shards=len(dirty))
-            lo, hi = windows[index]
-            rows, events = window_rows(starts, ends, values, aggregate, lo, hi)
-            refreshed.shard_rows[index] = rows
-            events_by_shard.append(events)
+    for index, (rows, _events) in zip(dirty, swept):
+        refreshed.shard_rows[index] = rows
+    events_by_shard = [events for _rows, events in swept]
     counters.tuples += len(delta)
     # The delta itself arrives as a short list of per-row tuples (it
     # drives dirty-window detection); the re-sweep runs on columns.
@@ -341,22 +282,18 @@ def _recompute(
     cache.discard(key)
     starts, ends, values, columns = _scan_columns(relation, attribute, counters)
     windows = shard_bounds(starts, ends, shard_count)
-    shard_rows: List[List[tuple]] = []
-    events_by_shard: List[int] = []
-    pooled = _pool_sweep(
-        columns, starts, ends, values, windows, aggregate, counters, deadline
+    swept, _report = sweep_shards(
+        starts,
+        ends,
+        values,
+        windows,
+        aggregate,
+        columns=columns,
+        counters=counters,
+        deadline=deadline,
     )
-    if pooled is not None:
-        for rows, events in pooled:
-            shard_rows.append(rows)
-            events_by_shard.append(events)
-    else:
-        for index, (lo, hi) in enumerate(windows):
-            if deadline is not None:
-                deadline.check(completed_shards=index, total_shards=len(windows))
-            rows, events = window_rows(starts, ends, values, aggregate, lo, hi)
-            shard_rows.append(rows)
-            events_by_shard.append(events)
+    shard_rows = [rows for rows, _events in swept]
+    events_by_shard = [events for _rows, events in swept]
     counters.tuples += len(starts)
     counters.node_visits += sum(events_by_shard)
     counters.aggregate_updates += sum(events_by_shard)

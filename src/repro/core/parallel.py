@@ -1,4 +1,4 @@
-"""Partitioned evaluation: time-sharded processes and tuple-set merging.
+"""Partitioned evaluation: time-domain shards and tuple-set merging.
 
 Two parallel plans live here, one per partitioning axis:
 
@@ -6,13 +6,13 @@ Two parallel plans live here, one per partitioning axis:
   ``"parallel_sweep"``) — split ``[ORIGIN, FOREVER]`` into windows,
   clip tuples into the windows they overlap
   (:mod:`repro.core.partition`), run the columnar sweep kernel
-  (:mod:`repro.core.columnar_sweep`) per window on a
-  ``ProcessPoolExecutor``, and stitch the per-window rows back
-  together.  Exact for *every* decomposable aggregate (clipping
-  preserves the per-instant valid multiset), including AVG and the
-  non-invertible MIN/MAX.  Falls back to the same in-process shard
-  functions for small inputs, a single shard, unregistered custom
-  aggregates, or platforms without ``fork``, so results are identical
+  (:mod:`repro.core.columnar_sweep`) per window, and stitch the
+  per-window rows back together.  Exact for *every* decomposable
+  aggregate (clipping preserves the per-instant valid multiset),
+  including AVG and the non-invertible MIN/MAX.  The windows run
+  through :func:`repro.exec.pool.sweep_shards`, which sends them to
+  the resident worker pool when one is running and the input
+  qualifies, and sweeps them in-process otherwise — identical rows
   either way.
 
 * **Tuple-set partitioning** (:func:`partitioned_aggregate`) — the
@@ -24,43 +24,28 @@ Two parallel plans live here, one per partitioning axis:
   itself be mergeable, which holds for COUNT, SUM, MIN and MAX but not
   AVG (a finalized mean loses its weight) — exactly the limitation the
   time-domain plan removes.
-
-The process pool is created per evaluation with the ``fork`` start
-method *after* the parent publishes the input columns in module
-globals, so workers inherit the data copy-on-write and nothing but the
-tiny window descriptors and the flat result rows crosses the pipe.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.aggregates import AGGREGATES, Aggregate, get_aggregate
+from repro.core.aggregates import AGGREGATES, Aggregate
 from repro.core.base import Evaluator, Triple, coerce_aggregate
-from repro.core.columnar_sweep import (
-    ColumnarSweepEvaluator,
-    validate_columns,
-    window_rows,
-)
-from repro.core.partition import (
-    available_workers,
-    shard_bounds,
-    stitch_rows,
-)
+from repro.core.columnar_sweep import ColumnarSweepEvaluator, validate_columns
+from repro.core.partition import shard_bounds, stitch_rows
 from repro.core.result import ConstantInterval, TemporalAggregateResult
 from repro.exec.errors import InvalidInput
+from repro.exec.validation import validate_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columns import ColumnSet
+    from repro.exec.supervision import RetryPolicy, SupervisionReport
     from repro.metrics.counters import OperationCounters
     from repro.metrics.space import SpaceTracker
-from repro.exec.faults import current_fault_plan
-from repro.exec.supervision import RetryPolicy, ShardSupervisor, SupervisionReport
-from repro.exec.validation import validate_shards
 
 __all__ = [
     "MERGEABLE_AGGREGATES",
@@ -69,13 +54,6 @@ __all__ = [
     "partitioned_aggregate",
     "registered_instance",
 ]
-
-#: Below this many tuples the fork + pickle overhead of a process pool
-#: dwarfs the sweep itself; shards run in-process instead.  This is
-#: the *default*: the live threshold is the ``REPRO_POOL_MIN_TUPLES``
-#: env knob, read per evaluation through
-#: :func:`repro.exec.pool.pool_min_tuples`.
-POOL_MIN_TUPLES = 32_768
 
 #: Aggregates whose finalized values merge like states.
 MERGEABLE_AGGREGATES = {"count", "sum", "min", "max"}
@@ -138,57 +116,6 @@ def merge_results(
 # Time-domain sharding
 # ---------------------------------------------------------------------------
 
-#: Input columns published by the parent just before forking so pool
-#: workers inherit them copy-on-write; holds the aggregate *name* when
-#: crossing processes (the instance for in-process shards).
-_SHARD_STATE: dict = {}
-
-#: Serializes sharded evaluations across threads: the shard state is a
-#: module global (so fork can inherit it copy-on-write), which means
-#: two concurrent ParallelSweepEvaluator runs — e.g. two server
-#: sessions on worker threads — would publish over each other.  Held
-#: for the whole publish/fan-out/clear window.
-_SHARD_STATE_LOCK = threading.RLock()
-
-
-def _resolve_shard_aggregate() -> Aggregate:
-    spec = _SHARD_STATE["aggregate"]
-    return get_aggregate(spec) if isinstance(spec, str) else spec
-
-
-def _shard_worker(window: Tuple[int, int]) -> Tuple[List[tuple], int]:
-    """Evaluate one time window against the inherited columns.
-
-    Returns the window's plain-tuple rows plus the number of events the
-    shard processed (for the parent's counter aggregation).
-    """
-    lo, hi = window
-    state = _SHARD_STATE
-    aggregate = _resolve_shard_aggregate()
-    return window_rows(
-        state["starts"], state["ends"], state["values"], aggregate, lo, hi
-    )
-
-
-def _shard_task(args: Tuple[Tuple[int, int], int, int, bool]) -> Tuple[List[tuple], int]:
-    """Supervised entry point: one shard attempt, in or out of the pool.
-
-    ``args`` is ``(window, shard_index, attempt, in_pool)``.  Injected
-    faults (:mod:`repro.exec.faults`) fire only when ``in_pool`` is
-    true — pool workers inherit the active plan through ``fork`` — so
-    the supervisor's in-process fallback is exempt by construction and
-    always computes the exact shard answer.
-    """
-    window, shard_index, attempt, in_pool = args
-    if in_pool:
-        plan = current_fault_plan()
-        if plan is not None:
-            poison = plan.execute_in_worker(shard_index, attempt)
-            if poison is not None:
-                return poison  # unpicklable: fails on the way back
-    return _shard_worker(window)
-
-
 #: Memo of registry-name -> constructed type, filled on first touch
 #: under a lock: registered_instance runs on every engine call, and
 #: without the memo each call constructs a throwaway aggregate; with a
@@ -204,9 +131,9 @@ def registered_instance(aggregate: Aggregate) -> bool:
 
     True for the stock registry aggregates; False for custom instances
     (even ones registered under a stock name but of a different type).
-    Both the process-pool fan-out and the shard-result cache require
-    it: the pool to reconstruct the aggregate in a worker, the cache
-    because entries are keyed by aggregate *name*.
+    Both the resident pool and the shard-result cache require it: the
+    pool to reconstruct the aggregate in a worker, the cache because
+    entries are keyed by aggregate *name*.
     """
     factory = AGGREGATES.get(aggregate.name)
     if factory is None:
@@ -222,24 +149,23 @@ def registered_instance(aggregate: Aggregate) -> bool:
 
 
 class ParallelSweepEvaluator(Evaluator):
-    """Time-sharded columnar sweep, fanned out over processes.
+    """Time-sharded columnar sweep, fanned out over the resident pool.
 
-    ``shards=None`` uses one shard per available core (capped — see
-    :func:`repro.core.partition.available_workers`).  ``use_processes``
-    forces (True) or forbids (False) the process pool; the default
-    ``None`` uses it only when it can pay for itself: ``shards > 1``,
-    at least :data:`POOL_MIN_TUPLES` tuples, a ``fork`` start method,
-    and an aggregate reconstructible by registry name in the workers.
-    Shard evaluation itself is identical in or out of the pool.
+    ``shards=None`` uses one shard per worker of the running resident
+    pool (:func:`repro.exec.pool.running_workers`), which is one shard
+    — a plain columnar sweep — when no pool runs.  The windows go
+    through :func:`repro.exec.pool.sweep_shards`, the single gate that
+    decides whether they leave the process; shard evaluation itself is
+    identical in or out of the pool.
 
-    Pooled shards run under a :class:`~repro.exec.supervision.
-    ShardSupervisor`: each shard gets bounded retries with jittered
-    backoff (``retry``), an optional per-shard ``shard_timeout`` in
-    seconds, and — after exhausting its attempts or losing the pool —
-    an exact in-process fallback, so the evaluator returns the same
-    rows no matter how many workers die.  ``last_supervision`` holds
-    the most recent run's :class:`~repro.exec.supervision.
-    SupervisionReport`.
+    Pooled shards run under the pool's supervisor: each shard gets
+    bounded retries with jittered backoff (``retry``), an optional
+    per-shard ``shard_timeout`` in seconds, and — after exhausting its
+    attempts — an exact in-process fallback, so the evaluator returns
+    the same rows no matter how many workers die.
+    ``last_supervision`` holds the most recent pooled run's
+    :class:`~repro.exec.supervision.SupervisionReport` (None when the
+    shards ran in-process).
     """
 
     name = "parallel_sweep"
@@ -249,32 +175,23 @@ class ParallelSweepEvaluator(Evaluator):
         aggregate: "Aggregate | str",
         *,
         shards: Optional[int] = None,
-        use_processes: Optional[bool] = None,
-        retry: Optional[RetryPolicy] = None,
+        retry: "Optional[RetryPolicy]" = None,
         shard_timeout: Optional[float] = None,
-        max_pool_rebuilds: int = 2,
         counters: "Optional[OperationCounters]" = None,
         space: "Optional[SpaceTracker]" = None,
     ) -> None:
         super().__init__(aggregate, counters=counters, space=space)
         self.shards = validate_shards(shards)
-        self.use_processes = use_processes
         self.retry = retry
         self.shard_timeout = shard_timeout
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.last_supervision: Optional[SupervisionReport] = None
+        self.last_supervision: "Optional[SupervisionReport]" = None
 
-    def _pool_usable(self, tuple_count: int, windows: int) -> bool:
-        from repro.exec.pool import pool_min_tuples
+    def _shard_count(self) -> int:
+        if self.shards is not None:
+            return self.shards
+        from repro.exec.pool import running_workers  # deferred: import cycle
 
-        if windows <= 1 or not registered_instance(self.aggregate):
-            return False
-        if self.use_processes is not None:
-            return self.use_processes
-        return (
-            tuple_count >= pool_min_tuples()
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
+        return running_workers()
 
     def _make_delegate(self) -> ColumnarSweepEvaluator:
         delegate = ColumnarSweepEvaluator(
@@ -283,14 +200,11 @@ class ParallelSweepEvaluator(Evaluator):
         delegate.deadline = self.deadline
         return delegate
 
-    def _delegate_columnar(self, data: List[Triple]) -> TemporalAggregateResult:
-        return self._make_delegate().evaluate(data)
-
     def evaluate(self, triples: Iterable[Triple]) -> TemporalAggregateResult:
         data = triples if isinstance(triples, list) else list(triples)
-        shards = self.shards if self.shards is not None else available_workers()
+        shards = self._shard_count()
         if not data or shards <= 1:
-            return self._delegate_columnar(data)
+            return self._make_delegate().evaluate(data)
         # The input arrived as per-row tuple objects; the flat-column
         # entry points (evaluate_columns / evaluate_relation) never
         # build these.
@@ -308,7 +222,7 @@ class ParallelSweepEvaluator(Evaluator):
         per-row tuples exist anywhere between the input columns and the
         stitched result rows.
         """
-        shards = self.shards if self.shards is not None else available_workers()
+        shards = self._shard_count()
         if not len(columns) or shards <= 1:
             return self._make_delegate().evaluate_columns(columns)
         return self._evaluate_sharded(
@@ -328,51 +242,6 @@ class ParallelSweepEvaluator(Evaluator):
             return self.evaluate_columns(columns_method(attribute))
         return self.evaluate(relation.scan_triples(attribute))
 
-    def _resident_sharded(
-        self,
-        starts: Sequence[int],
-        ends: Sequence[int],
-        values: Optional[Sequence[Any]],
-        windows: Sequence[Tuple[int, int]],
-        columns: "Optional[ColumnSet]",
-    ) -> Optional[List[Tuple[List[tuple], int]]]:
-        """Try the resident shared-memory backend for this fan-out.
-
-        Engages only for an *identified* snapshot (a ColumnSet stamped
-        with its relation uid/version — anonymous columns could alias a
-        stale publication) whose columns map to int64 segments.
-        Returns per-window ``(rows, events)`` results with worker
-        counter deltas already merged, or None to use the legacy
-        fork-per-evaluation path.
-        """
-        if columns is None or columns.uid is None or columns.version is None:
-            return None
-        from repro.exec.pool import default_pool
-
-        pool = default_pool()
-        if pool is None:
-            return None
-        outcome = pool.sweep_columns(
-            starts,
-            ends,
-            values,
-            windows,
-            self.aggregate.name,
-            uid=columns.uid,
-            version=columns.version,
-            column_key=columns.column_key,
-            owner=columns,
-            deadline=self.deadline,
-            retry=self.retry,
-            shard_timeout=self.shard_timeout,
-            counters=self.counters,
-        )
-        if outcome is None:
-            return None
-        shard_results, supervisor = outcome
-        self.last_supervision = supervisor.report
-        return shard_results
-
     def _evaluate_sharded(
         self,
         starts: Sequence[int],
@@ -385,87 +254,28 @@ class ParallelSweepEvaluator(Evaluator):
     ) -> TemporalAggregateResult:
         validate_columns(starts, ends)
         windows = shard_bounds(starts, ends, shards)
+        self.last_supervision = None
         if len(windows) == 1:
-            delegate = self._make_delegate()
-            result = delegate._evaluate_columns(
+            return self._make_delegate()._evaluate_columns(
                 starts, ends, values, batches=batches
             )
-            return result
+        from repro.exec.pool import sweep_shards  # deferred: import cycle
 
-        if self._pool_usable(len(starts), len(windows)):
-            self.last_supervision = None
-            resident = self._resident_sharded(
-                starts, ends, values, windows, columns
-            )
-            if resident is not None:
-                return self._fold_shard_results(
-                    resident, starts, ends, batches
-                )
-
-        # Serialize sharded runs across threads: the shard state is a
-        # module global (fork inherits it copy-on-write), so concurrent
-        # server sessions must not publish over each other.  The whole
-        # publish/fan-out/clear window is deliberately held — that
-        # serialization *is* the correctness property — and the with
-        # block (rather than bare acquire/release) keeps the critical
-        # section visible to the static lock-discipline pass.
-        with _SHARD_STATE_LOCK:
-            _SHARD_STATE.update(
-                starts=starts,
-                ends=ends,
-                values=values,
-                aggregate=(
-                    self.aggregate.name
-                    if registered_instance(self.aggregate)
-                    else self.aggregate
-                ),
-            )
-            self.last_supervision = None
-            try:
-                if self._pool_usable(len(starts), len(windows)):
-                    # Publish the columns, *then* fork: workers inherit
-                    # the data (and any active fault plan) copy-on-write.
-                    supervisor = ShardSupervisor(
-                        _shard_task,
-                        windows,
-                        mp_context=multiprocessing.get_context("fork"),
-                        retry=self.retry,
-                        shard_timeout=self.shard_timeout,
-                        deadline=self.deadline,
-                        max_pool_rebuilds=self.max_pool_rebuilds,
-                    )
-                    shard_results = supervisor.run()
-                    self.last_supervision = supervisor.report
-                else:
-                    shard_results = []
-                    for index, window in enumerate(windows):
-                        if self.deadline is not None:
-                            self.deadline.check(
-                                completed_shards=index,
-                                total_shards=len(windows),
-                            )
-                        shard_results.append(
-                            _shard_task((window, index, 1, False))
-                        )
-            finally:
-                _SHARD_STATE.clear()
-
-        return self._fold_shard_results(shard_results, starts, ends, batches)
-
-    def _fold_shard_results(
-        self,
-        shard_results: List[Tuple[List[tuple], int]],
-        starts: Sequence[int],
-        ends: Sequence[int],
-        batches: int,
-    ) -> TemporalAggregateResult:
-        """Stitch per-window rows and fold shard events into counters.
-
-        Shared by the resident and legacy backends, so both produce
-        identical rows *and* identical counter shapes (worker-private
-        deltas like ``pool_shards`` are merged separately by the
-        resident backend before this fold).
-        """
+        shard_results, self.last_supervision = sweep_shards(
+            starts,
+            ends,
+            values,
+            windows,
+            self.aggregate,
+            columns=columns,
+            counters=self.counters,
+            deadline=self.deadline,
+            retry=self.retry,
+            shard_timeout=self.shard_timeout,
+        )
+        # Stitch the per-window rows and fold shard events into the
+        # counters (worker-private deltas like ``pool_shards`` were
+        # merged by the pool).
         raw = stitch_rows(
             [rows for rows, _events in shard_results], set(starts), set(ends)
         )

@@ -9,8 +9,8 @@ module encodes as an inspectable decision procedure:
 * **nearly sorted** (small measured k) → the k-ordered tree with the
   measured ``k``;
 * **unsorted and large, invertible aggregate** → the columnar event
-  sweep, time-sharded across cores when the machine has them (a
-  post-paper extension; see :mod:`repro.core.parallel`);
+  sweep, time-sharded across the resident worker pool when one is
+  running (a post-paper extension; see :mod:`repro.core.parallel`);
 * **unsorted, memory cheaper than the disk I/O a sort would cost** →
   the plain aggregation tree;
 * **unsorted, memory tight** → the paper's "simplest strategy": sort,
@@ -215,7 +215,10 @@ def choose_strategy(
 
     # Unsorted and genuinely large: the columnar event sweep beats the
     # per-node structures on constants, and its time-domain shards
-    # spread across cores when the machine has them.  Needs an
+    # spread across the resident pool's workers when a pool is running
+    # and the input clears the pool's threshold — the same conditions
+    # under which repro.exec.pool.sweep_shards sends shards out (shards
+    # run in-process are slower than one columnar sweep).  Needs an
     # invertible aggregate (MIN/MAX would drag a lazy heap through
     # every shard; the tree strategies handle them as well per event).
     invertible = aggregate.invertible if aggregate is not None else True
@@ -226,19 +229,21 @@ def choose_strategy(
         or event_bytes * inflation <= memory_budget_bytes
     )
     if n >= PARALLEL_MIN_TUPLES and invertible and sweep_fits:
-        workers = available_workers()
-        if workers > 1:
+        from repro.exec.pool import pool_min_tuples, running_workers
+
+        workers = running_workers()
+        if workers > 1 and n >= pool_min_tuples():
             return PlannerDecision(
                 strategy="parallel_sweep",
                 shards=workers,
-                reason=f"large unordered input and {workers} cores: "
-                "time-domain shards over the columnar sweep",
+                reason=f"large unordered input and a running {workers}-"
+                "worker pool: time-domain shards over the columnar sweep",
                 estimated_bytes=event_bytes,
             )
         return PlannerDecision(
             strategy="columnar_sweep",
-            reason="large unordered input on one core: the columnar "
-            "event sweep has the smallest constants",
+            reason="large unordered input and no multi-worker pool "
+            "running: the columnar event sweep has the smallest constants",
             estimated_bytes=event_bytes,
         )
 

@@ -15,10 +15,11 @@ touching the algorithms' semantics:
   checkpoints;
 * :mod:`repro.exec.budget` — runtime memory-budget enforcement with
   mid-flight degradation to the spilling paged tree;
-* :mod:`repro.exec.supervision` — per-shard retries with jittered
-  backoff, shard timeouts, pool rebuilds, and an in-process fallback
-  that keeps :class:`~repro.core.parallel.ParallelSweepEvaluator`
-  exact even when the whole pool dies;
+* :mod:`repro.exec.supervision` — the retry policy (jittered backoff)
+  and run report behind the resident pool's shard supervision, whose
+  in-process fallback keeps
+  :class:`~repro.core.parallel.ParallelSweepEvaluator` exact even when
+  every worker dies;
 * :mod:`repro.exec.faults` — a deterministic fault-injection harness
   (:class:`FaultPlan`) the workers, planner, and budget guard consult
   through an injectable hook, so every recovery path is testable.
@@ -49,11 +50,7 @@ from repro.exec.faults import (
     install_fault_plan,
     wrap_handle,
 )
-from repro.exec.supervision import (
-    RetryPolicy,
-    ShardSupervisor,
-    SupervisionReport,
-)
+from repro.exec.supervision import RetryPolicy, SupervisionReport
 from repro.exec.validation import (
     check_triple,
     validate_shards,
@@ -77,7 +74,6 @@ __all__ = [
     "evaluate_with_degradation",
     # supervision
     "RetryPolicy",
-    "ShardSupervisor",
     "SupervisionReport",
     # faults
     "FaultPlan",

@@ -1,23 +1,27 @@
-"""Resident worker pool over shared-memory column segments.
+"""The process backend: a resident worker pool over shared memory.
 
-Before this module, every parallel evaluation paid a fresh ``fork`` of
-a whole process pool plus a copy-on-write republish of the input
-columns (:mod:`repro.core.parallel` builds a ``ProcessPoolExecutor``
-per evaluation).  That amortizes to nothing under a query *server*: the
-north-star workload is many clients issuing repeated and overlapping
-statements against slowly-changing relations, where the columns are
-identical from one statement to the next and only the tiny window
-descriptors differ.
+Time-sharded sweeps (``parallel_sweep`` and the shard-result cache's
+recompute and dirty-shard refresh) leave the process only through this
+module, and only through one gate, :func:`sweep_shards`.  Shards go to
+worker processes when all of these hold: a pool is already running
+(:func:`active_pool` — nothing on an evaluation path ever starts one),
+the columns carry their relation's uid and version, the input has at
+least :func:`pool_min_tuples` tuples, there is more than one window,
+and the aggregate is a registry aggregate a worker can rebuild by
+name.  Otherwise the shards run in-process with a deadline check
+between them, through the same per-window kernel, so the rows are
+identical either way.
 
-The resident backend splits the two costs apart and pays each exactly
-once:
+The backend pays each cost of process parallelism exactly once:
 
 * **Workers fork once**, at pool start, and then live across queries
   (:class:`ResidentWorkerPool`).  A query sends each worker a few
   hundred bytes of job descriptor over a pipe and reads rows back; no
   interpreter start, no module re-import, no column pickling.  The
   ``pool_forks`` counter proves the shape: it equals the worker count
-  (plus crash respawns), never the statement count.
+  (plus crash respawns), never the statement count.  Pools start only
+  where a caller asks: ``ServerConfig(pool_workers=N)``,
+  :func:`acquire_default_pool`, or ``with default_pool(n):``.
 
 * **Columns publish once per (relation uid, version)** into named
   ``multiprocessing.shared_memory`` segments (:class:`SegmentStore`).
@@ -34,18 +38,17 @@ once:
 
 Worker lifecycle is supervised (:class:`ResidentPoolSupervisor`): a
 worker that dies mid-job (OOM killer, injected ``kill`` fault) is
-detected by pipe EOF, respawned, and the job retried under the same
-:class:`~repro.exec.supervision.RetryPolicy` discipline as the legacy
-per-evaluation pool; jobs that exhaust their attempts fall back to an
-exact in-process evaluation, so the caller sees identical rows no
-matter how many workers die.  Deadlines bound every pipe wait.
+detected by pipe EOF, respawned, and the job retried under the
+:class:`~repro.exec.supervision.RetryPolicy`; jobs that exhaust their
+attempts fall back to an exact in-process evaluation, so the caller
+sees identical rows no matter how many workers die.  Deadlines bound
+every pipe wait.
 
-Fault injection differs from the legacy pool in one deliberate way:
-resident workers fork *before* any test installs a
-:class:`~repro.exec.faults.FaultPlan`, so plans cannot ride in
-copy-on-write globals.  Instead the active plan travels inside each
-job descriptor (plans are small frozen dataclasses, picklable by
-construction) and fires inside the worker exactly as before.
+Fault injection: workers fork *before* any test installs a
+:class:`~repro.exec.faults.FaultPlan`, so the active plan travels
+inside each job descriptor (plans are small frozen dataclasses,
+picklable by construction) and fires inside the worker.  The
+in-process fallback never sees it.
 
 Cross-process metrics stay exact: each worker tallies its own
 per-job counter deltas (shard sweeps run, tuples materialized — zero
@@ -66,10 +69,11 @@ from array import array
 from collections import OrderedDict
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import get_aggregate
 from repro.core.columnar_sweep import window_rows
+from repro.core.parallel import registered_instance
 from repro.exec.deadline import Deadline
 from repro.exec.errors import ShardFailure
 from repro.exec.faults import FaultPlan, current_fault_plan
@@ -77,11 +81,17 @@ from repro.exec.supervision import RetryPolicy, SupervisionReport
 
 from repro.metrics.counters import OperationCounters
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.aggregates import Aggregate
+    from repro.core.columns import ColumnSet
+
 __all__ = [
     "SegmentStore",
     "PublishedSnapshot",
     "ResidentWorkerPool",
     "ResidentPoolSupervisor",
+    "sweep_shards",
+    "running_workers",
     "pool_min_tuples",
     "pool_workers_from_env",
     "default_pool",
@@ -103,11 +113,10 @@ WORKER_DELTA_FIELDS = ("pool_shards", "tuple_materializations")
 
 
 def pool_min_tuples() -> int:
-    """Minimum tuple count before sharded work engages a process pool.
+    """Minimum tuple count before :func:`sweep_shards` uses the pool.
 
-    Reads ``REPRO_POOL_MIN_TUPLES`` (the knob replacing the old
-    hard-coded constant); invalid or missing values fall back to
-    :data:`DEFAULT_POOL_MIN_TUPLES`.
+    Reads ``REPRO_POOL_MIN_TUPLES``; invalid or missing values fall
+    back to :data:`DEFAULT_POOL_MIN_TUPLES`.
     """
     raw = os.environ.get("REPRO_POOL_MIN_TUPLES", "")
     try:
@@ -141,8 +150,8 @@ def _shareable_values(values: Optional[Sequence[Any]]) -> Optional[array]:
 
     Only ``array('q')``-compatible values (plain ints in int64 range)
     lay out directly in a shared segment; floats, Decimals, strings and
-    mixed columns return None and the caller falls back to the legacy
-    copy-on-write path, which handles arbitrary Python values.
+    mixed columns return None and the shards run in-process, where the
+    kernel handles arbitrary Python values.
     """
     if values is None:
         return None
@@ -301,8 +310,8 @@ class SegmentStore:
     ) -> Optional[PublishedSnapshot]:
         """Ensure (uid, version, column_key) is resident.
 
-        Returns None — caller falls back to the legacy path — for
-        empty columns or a value column that does not map to int64.
+        Returns None — the caller sweeps in-process — for empty
+        columns or a value column that does not map to int64.
         Idempotent: a second publish of a live snapshot returns the
         existing one without touching shared memory, except that a
         value-less snapshot grows a values segment the first time a
@@ -731,12 +740,11 @@ class _Worker:
 class ResidentPoolSupervisor:
     """Distribute sweep jobs over resident workers; recover crashes.
 
-    The resident analogue of :class:`~repro.exec.supervision.
-    ShardSupervisor`: the same retry policy and exact in-process
-    fallback, but detection works on pipes — a dead worker is an
-    ``EOFError``/closed pipe on recv, a hung one a ``poll`` timeout —
-    and recovery respawns the *one* worker instead of rebuilding a
-    whole executor.  ``report.respawns`` counts those.
+    Bounded retries under a :class:`~repro.exec.supervision.
+    RetryPolicy` with an exact in-process fallback.  Detection works
+    on pipes — a dead worker is an ``EOFError``/closed pipe on recv, a
+    hung one a ``poll`` timeout — and recovery respawns the *one*
+    worker.  ``report.respawns`` counts those.
     """
 
     def __init__(
@@ -944,9 +952,8 @@ class ResidentWorkerPool:
     ``workers=None`` sizes from ``REPRO_POOL_WORKERS`` then the core
     count (via :func:`repro.core.partition.available_workers`).  The
     pool owns a :class:`SegmentStore` for its snapshots and a single
-    submission lock: one sweep fan-out at a time (matching the legacy
-    pool's module-global serialization), with workers surviving in
-    between — that survival is the entire point.
+    submission lock: one sweep fan-out at a time, with workers
+    surviving in between — that survival is the entire point.
     """
 
     def __init__(
@@ -973,6 +980,9 @@ class ResidentWorkerPool:
         self._started = False  # ta: guarded-by(self._lock)
         self._closed = False  # ta: guarded-by(self._lock)
         self.forks_total = 0  # ta: guarded-by(self._lock)
+        #: Shards whose accepted result came from a worker, over the
+        #: pool's life.  # ta: guarded-by(self._lock)
+        self.shards_total = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -1095,15 +1105,15 @@ class ResidentWorkerPool:
         Returns ``(shard_results, supervisor)`` with one
         ``(rows, events)`` pair per window (worker counter deltas
         already merged into ``counters``), or None when the resident
-        backend cannot serve this input — unidentified snapshot
-        (no uid/version), unshareable values, fork unavailable — and
-        the caller should use its legacy path.  Exactly one fan-out
-        runs at a time; the columns publish at most once per snapshot.
+        backend cannot serve this input — pool not started,
+        unidentified snapshot (no uid/version), unshareable values,
+        fork unavailable — and the caller should sweep in-process.  Exactly one fan-out runs
+        at a time; the columns publish at most once per snapshot.
         """
-        if uid is None or version is None or not self.usable():
+        # A sweep never starts the pool: forking is the starter's call.
+        if uid is None or version is None:
             return None
-        self.start(counters=counters)
-        if not self.started():
+        if not (self.usable() and self.started()):
             return None
         snapshot = self.store.publish(
             uid,
@@ -1155,6 +1165,7 @@ class ResidentWorkerPool:
             )
             with self._lock:
                 job_results = supervisor.run(specs, fallback, counters)
+                self.shards_total += supervisor.report.pooled_shards
             if counters is not None:
                 for result in job_results:
                     deltas = result[2]
@@ -1197,12 +1208,14 @@ def default_segment_store() -> SegmentStore:
 
 
 def default_pool(workers: Optional[int] = None) -> Optional[ResidentWorkerPool]:
-    """The process-wide resident pool, started lazily.
+    """The process-wide resident pool, created (not started) on first touch.
 
     Returns None on platforms without ``fork``.  ``workers`` sizes the
     pool on first touch only; later calls return the existing pool
     regardless (one resident pool per process — its workers are the
     shared backend for every evaluator and the serve scheduler).
+    Nothing forks until someone starts it: ``with default_pool(n):``
+    runs a block on a started pool and stops it afterwards.
     """
     global _DEFAULT_POOL
     if not _fork_available():
@@ -1216,20 +1229,95 @@ def default_pool(workers: Optional[int] = None) -> Optional[ResidentWorkerPool]:
 def active_pool() -> Optional[ResidentWorkerPool]:
     """The default pool only if it is *already running*; never creates.
 
-    The opt-in gate for evaluation paths that must not fork lazily:
-    the cached evaluator runs on server executor threads mid-query
-    (forking a multi-threaded process at an arbitrary point), and
-    ``ServerConfig`` documents ``pool_workers=0`` as "no resident
-    execution".  Whoever wants resident execution starts the pool
+    What :func:`sweep_shards` and the planner consult.  Evaluation
+    paths must not fork lazily: they run on server executor threads
+    mid-query (forking a multi-threaded process at an arbitrary
+    point), and ``ServerConfig(pool_workers=0)`` promises in-process
+    evaluation.  Whoever wants resident execution starts the pool
     explicitly — the server's ``start()``, a ``with`` block, a bench
-    driver — and this returns it; otherwise None and the caller stays
-    on its in-process path.
+    driver — and this returns it; otherwise None and the shards stay
+    in-process.
     """
     with _DEFAULT_LOCK:
         pool = _DEFAULT_POOL
     if pool is not None and pool.usable() and pool.started():
         return pool
     return None
+
+
+def running_workers() -> int:
+    """Worker count of the running default pool; 1 when none runs.
+
+    The shard count the planner and ``ParallelSweepEvaluator(shards=
+    None)`` use: more windows than workers only adds clipping work.
+    """
+    pool = active_pool()
+    return pool.worker_count if pool is not None else 1
+
+
+def sweep_shards(
+    starts: Sequence[int],
+    ends: Sequence[int],
+    values: Optional[Sequence[Any]],
+    windows: Sequence[Tuple[int, int]],
+    aggregate: "Aggregate",
+    *,
+    columns: "Optional[ColumnSet]" = None,
+    counters: Optional[OperationCounters] = None,
+    deadline: Optional[Deadline] = None,
+    retry: Optional[RetryPolicy] = None,
+    shard_timeout: Optional[float] = None,
+) -> Tuple[List[Tuple[List[tuple], int]], Optional[SupervisionReport]]:
+    """Sweep every window; the one place shards may leave the process.
+
+    Returns one ``(rows, events)`` pair per window, in window order,
+    plus the :class:`~repro.exec.supervision.SupervisionReport` of a
+    pooled fan-out (None when the shards ran in-process).  The pool is
+    used only when it is already running, ``columns`` is a snapshot
+    stamped with its relation's uid and version, the input has at
+    least :func:`pool_min_tuples` tuples, there is more than one
+    window, and ``aggregate`` is a registry aggregate; worker counter
+    deltas are then merged into ``counters``.  In every other case —
+    and when the pool declines the input (values that do not map to
+    int64) — the windows are swept here, with a ``deadline`` check
+    before each one.
+    """
+    qualifies = (
+        len(windows) > 1
+        and columns is not None
+        and columns.uid is not None
+        and columns.version is not None
+        and len(starts) >= pool_min_tuples()
+        and registered_instance(aggregate)
+    )
+    # Last, because it takes the pool's lock, which a running fan-out
+    # holds: inputs that stay in-process never wait on another sweep.
+    pool = active_pool() if qualifies else None
+    if pool is not None and columns is not None:
+        outcome = pool.sweep_columns(
+            starts,
+            ends,
+            values,
+            windows,
+            aggregate.name,
+            uid=columns.uid,
+            version=columns.version,
+            column_key=columns.column_key,
+            owner=columns,
+            deadline=deadline,
+            retry=retry,
+            shard_timeout=shard_timeout,
+            counters=counters,
+        )
+        if outcome is not None:
+            shard_results, supervisor = outcome
+            return shard_results, supervisor.report
+    shard_results = []
+    for index, (lo, hi) in enumerate(windows):
+        if deadline is not None:
+            deadline.check(completed_shards=index, total_shards=len(windows))
+        shard_results.append(window_rows(starts, ends, values, aggregate, lo, hi))
+    return shard_results, None
 
 
 def acquire_default_pool(

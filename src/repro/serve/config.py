@@ -45,9 +45,10 @@ class ServerConfig:
       buildup deterministic regardless of machine speed.  0 in
       production.
     * ``pool_workers`` — size of the resident shared-memory worker
-      pool (:mod:`repro.exec.pool`) started with the server; 0 (the
-      default) leaves the pool off and statements evaluate in-process
-      exactly as before.
+      pool (:mod:`repro.exec.pool`) started with the server, the only
+      way a served statement's shards reach worker processes; 0 (the
+      default) starts none, and every statement evaluates in-process
+      without forking.
     * ``coalesce`` — single-flight execution of identical concurrent
       queries: statements with the same text against the same pinned
       relation version at the same degradation level share one

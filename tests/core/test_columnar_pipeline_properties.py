@@ -115,9 +115,7 @@ def test_serial_columnar_over_heap_matches_reference(name, shape, data):
 def test_parallel_columnar_matches_reference(name, shape, data):
     rows = data.draw(shape)
     relation = TemporalRelation(EMPLOYED_SCHEMA, rows)
-    evaluator = ParallelSweepEvaluator(
-        get_aggregate(name), shards=4, use_processes=False
-    )
+    evaluator = ParallelSweepEvaluator(get_aggregate(name), shards=4)
     result = evaluator.evaluate_relation(relation, "salary")
     assert _rows_of(result) == _reference_rows(rows, name)
     assert evaluator.counters.tuple_materializations == 0

@@ -7,16 +7,21 @@ brute-force :class:`~repro.core.reference.ReferenceEvaluator` —
 including row boundaries, which the seam-stitching step must restore.
 """
 
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import temporal_aggregate
 from repro.core.interval import FOREVER
-from repro.core.parallel import ParallelSweepEvaluator, POOL_MIN_TUPLES
+from repro.core.parallel import ParallelSweepEvaluator
 from repro.core.columnar_sweep import ColumnarSweepEvaluator
 from repro.core.reference import ReferenceEvaluator
+from repro.exec import pool as pool_module
 from repro.metrics.counters import OperationCounters
+from repro.relation.relation import TemporalRelation
+from repro.relation.schema import EMPLOYED_SCHEMA
 from tests.conftest import random_triples
 
 AGGREGATES = ["count", "sum", "min", "max", "avg"]
@@ -88,29 +93,87 @@ class TestRandomCorpora:
             assert result.rows == expected
 
 
+def identified_relation(triples):
+    relation = TemporalRelation(EMPLOYED_SCHEMA, name="sharded")
+    relation.append_batch(
+        [((f"w{index}", value), start, end)
+         for index, (start, end, value) in enumerate(triples)]
+    )
+    return relation
+
+
+@pytest.fixture()
+def running_pool(monkeypatch):
+    """A started 2-worker default pool (None where fork is missing)."""
+    monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+    pool_module.shutdown_default_pool()
+    pool = pool_module.default_pool(2)
+    if pool is not None:
+        pool.start()
+    yield pool
+    pool_module.shutdown_default_pool()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the resident pool needs the fork start method",
+)
 class TestProcessPool:
-    """The real fork/pickle path, forced on despite small inputs."""
+    """The real resident-worker path: identified columns, a running
+    pool, and the pool threshold lowered to the input size."""
 
     @pytest.mark.parametrize("aggregate", AGGREGATES)
-    def test_pool_matches_reference(self, aggregate):
+    def test_pool_matches_reference(self, running_pool, aggregate):
         triples = random_triples(seed=5, n=400)
         expected = reference_rows(aggregate, triples)
-        result = ParallelSweepEvaluator(
-            aggregate, shards=4, use_processes=True
-        ).evaluate(list(triples))
-        assert result.rows == expected
-
-    def test_pool_auto_off_below_threshold(self):
-        triples = random_triples(seed=5, n=50)
-        evaluator = ParallelSweepEvaluator("count", shards=2)
-        assert not evaluator._pool_usable(len(triples), 2)
-        assert evaluator._pool_usable(POOL_MIN_TUPLES, 2) == (
-            "fork" in __import__("multiprocessing").get_all_start_methods()
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator(
+            aggregate, shards=4, counters=counters
         )
+        result = evaluator.evaluate_relation(
+            identified_relation(triples),
+            None if aggregate == "count" else "salary",
+        )
+        assert result.rows == expected
+        assert counters.pool_shards == 4
+        assert evaluator.last_supervision.pooled_shards == 4
+
+    def test_pool_auto_off_below_threshold(self, running_pool, monkeypatch):
+        relation = identified_relation(random_triples(seed=5, n=400))
+        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "401")
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator("count", shards=2, counters=counters)
+        evaluator.evaluate_relation(relation)
+        assert counters.pool_shards == 0
+        assert evaluator.last_supervision is None
+        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "400")
+        evaluator.evaluate_relation(relation)
+        assert counters.pool_shards == 2
+
+    def test_default_shard_count_follows_the_running_pool(self, running_pool):
+        triples = random_triples(seed=6, n=300)
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator("sum", counters=counters)
+        result = evaluator.evaluate_relation(
+            identified_relation(triples), "salary"
+        )
+        assert result.rows == reference_rows("sum", triples)
+        assert counters.pool_shards == running_pool.worker_count
+
+    def test_anonymous_triples_stay_in_process(self, running_pool):
+        triples = random_triples(seed=5, n=400)
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator("count", shards=4, counters=counters)
+        assert evaluator.evaluate(list(triples)).rows == reference_rows(
+            "count", triples
+        )
+        assert counters.pool_shards == 0
 
 
 class TestCustomAggregates:
-    def test_unregistered_aggregate_runs_in_process(self):
+    def test_unregistered_aggregate_runs_in_process(
+        self, running_pool, monkeypatch
+    ):
         from repro.core.aggregates import SumAggregate
 
         class DoubledSum(SumAggregate):
@@ -121,11 +184,18 @@ class TestCustomAggregates:
                 return None if state is None else 2 * state
 
         triples = random_triples(seed=9, n=120)
-        evaluator = ParallelSweepEvaluator(DoubledSum(), shards=3)
-        assert not evaluator._pool_usable(10**6, 3)
-        result = evaluator.evaluate(list(triples))
+        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "0")
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator(
+            DoubledSum(), shards=3, counters=counters
+        )
+        result = evaluator.evaluate_relation(
+            identified_relation(triples), "salary"
+        )
         expected = ReferenceEvaluator(DoubledSum()).evaluate(list(triples))
         assert result.rows == expected.rows
+        assert counters.pool_shards == 0
+        assert evaluator.last_supervision is None
 
 
 class TestEngineIntegration:

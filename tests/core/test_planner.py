@@ -117,49 +117,61 @@ class TestDecisions:
 
 
 class TestParallelRule:
-    """The post-paper rule: large + unsorted + invertible → sweep."""
+    """The post-paper rule: large + unsorted + invertible → sweep,
+    sharded only across a running multi-worker resident pool."""
 
     def big_stats(self):
         # k is half of n: nowhere near "nearly sorted".
         return stats(n=100_000, unique=150_000, k=50_000)
 
     def test_multicore_gets_parallel_sweep(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.planner.available_workers", lambda: 4
-        )
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 4)
         decision = choose_strategy(self.big_stats(), aggregate=CountAggregate())
         assert decision.strategy == "parallel_sweep"
         assert decision.shards == 4
         assert "shards=4" in decision.describe()
 
     def test_single_core_gets_columnar_sweep(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.planner.available_workers", lambda: 1
-        )
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 1)
         decision = choose_strategy(self.big_stats(), aggregate=CountAggregate())
         assert decision.strategy == "columnar_sweep"
         assert decision.shards is None
 
+    def test_many_cores_without_a_running_pool_get_columnar_sweep(
+        self, monkeypatch
+    ):
+        """Cores alone never license the parallel plan: with no pool
+        running its shards would run in-process, slower than one
+        columnar sweep."""
+        from repro.exec import pool as pool_module
+
+        pool_module.shutdown_default_pool()
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        decision = choose_strategy(self.big_stats(), aggregate=CountAggregate())
+        assert decision.strategy == "columnar_sweep"
+
+    def test_running_pool_below_its_threshold_gets_columnar_sweep(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 4)
+        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "1000000")
+        decision = choose_strategy(self.big_stats(), aggregate=CountAggregate())
+        assert decision.strategy == "columnar_sweep"
+
     def test_non_invertible_falls_through_to_tree(self, monkeypatch):
         from repro.core.aggregates import MaxAggregate
 
-        monkeypatch.setattr(
-            "repro.core.planner.available_workers", lambda: 4
-        )
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 4)
         decision = choose_strategy(self.big_stats(), aggregate=MaxAggregate())
         assert decision.strategy == "aggregation_tree"
 
     def test_small_input_falls_through_to_tree(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.planner.available_workers", lambda: 4
-        )
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 4)
         decision = choose_strategy(stats(), aggregate=CountAggregate())
         assert decision.strategy == "aggregation_tree"
 
     def test_tight_budget_falls_through_to_sort_plan(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.planner.available_workers", lambda: 4
-        )
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 4)
         decision = choose_strategy(
             self.big_stats(),
             aggregate=CountAggregate(),
@@ -169,9 +181,7 @@ class TestParallelRule:
         assert decision.sort_first
 
     def test_sorted_input_never_takes_parallel_path(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.planner.available_workers", lambda: 4
-        )
+        monkeypatch.setattr("repro.exec.pool.running_workers", lambda: 4)
         decision = choose_strategy(
             stats(n=100_000, unique=150_000, ordered=True),
             aggregate=CountAggregate(),

@@ -1,10 +1,13 @@
 """Deterministic fault-injection suite: every recovery path, exact results.
 
-These tests force pool workers to die, hang, and poison their results,
-then assert the engine still returns byte-identical rows to the
-brute-force oracle for all five aggregates.  They are marked
-``faults`` so CI can run them as a dedicated job
-(``pytest -m faults``); they also run in the default suite.
+These tests force resident pool workers to die, hang, and poison their
+results, then assert the engine still returns byte-identical rows to
+the brute-force oracle for all five aggregates.  The shards reach the
+workers the way production sweeps do: identified relation columns, a
+running pool, and the pool threshold (``REPRO_POOL_MIN_TUPLES``)
+lowered to the corpus size.  They are marked ``faults`` so CI can run
+them as a dedicated job (``pytest -m faults``); they also run in the
+default suite.
 """
 
 import multiprocessing
@@ -14,6 +17,7 @@ import pytest
 from repro.core.parallel import ParallelSweepEvaluator
 from repro.core.planner import choose_strategy
 from repro.core.reference import ReferenceEvaluator
+from repro.exec import pool as pool_module
 from repro.exec.faults import (
     FaultPlan,
     ShardFault,
@@ -23,13 +27,15 @@ from repro.exec.faults import (
     install_fault_plan,
 )
 from repro.exec.supervision import RetryPolicy
+from repro.relation.relation import TemporalRelation
+from repro.relation.schema import EMPLOYED_SCHEMA
 from tests.conftest import random_triples
 
 pytestmark = pytest.mark.faults
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process-pool faults need the fork start method",
+    reason="the resident pool needs the fork start method",
 )
 
 AGGREGATES = ["count", "sum", "min", "max", "avg"]
@@ -38,21 +44,52 @@ AGGREGATES = ["count", "sum", "min", "max", "avg"]
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 
 
+@pytest.fixture(scope="module")
+def running_pool():
+    """One started 4-worker default pool for the module: 4 shards land
+    on 4 distinct workers, and respawned workers carry over between
+    tests exactly as they would between served statements."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        pool_module.shutdown_default_pool()
+        pool = pool_module.default_pool(4)
+        pool.start()
+        try:
+            yield pool
+        finally:
+            pool_module.shutdown_default_pool()
+
+
 def corpus(seed=7, n=500):
     return random_triples(seed, n, max_instant=300)
 
 
+def relation_of(triples):
+    """An identified relation (uid + version) over the corpus."""
+    relation = TemporalRelation(EMPLOYED_SCHEMA, name="faults")
+    relation.append_batch(
+        [((f"w{index}", value), start, end)
+         for index, (start, end, value) in enumerate(triples)]
+    )
+    return relation
+
+
 def evaluate_under(plan, aggregate, data, **kwargs):
+    evaluator = ParallelSweepEvaluator(
+        aggregate,
+        shards=4,
+        retry=kwargs.pop("retry", FAST_RETRY),
+        **kwargs,
+    )
+    relation = relation_of(data)
     with fault_plan(plan):
-        evaluator = ParallelSweepEvaluator(
-            aggregate,
-            shards=4,
-            use_processes=True,
-            retry=kwargs.pop("retry", FAST_RETRY),
-            **kwargs,
+        result = evaluator.evaluate_relation(
+            relation, None if aggregate == "count" else "salary"
         )
-        result = evaluator.evaluate(data)
-    return result, evaluator.last_supervision
+    report = evaluator.last_supervision
+    assert report is not None, "the shards never reached the pool"
+    assert report.total_shards == 4
+    return result, report
 
 
 class TestPlanMechanics:
@@ -89,6 +126,7 @@ class TestPlanMechanics:
 
 
 @needs_fork
+@pytest.mark.usefixtures("running_pool")
 class TestKilledShards:
     """The acceptance scenario: kill 2 of 4 workers, answers unchanged."""
 
@@ -103,7 +141,7 @@ class TestKilledShards:
         result, report = evaluate_under(plan, aggregate, data)
         assert result.rows == reference.rows
         assert report.degraded  # the kills really happened
-        assert report.pool_rebuilds >= 1
+        assert report.respawns >= 1
 
     def test_injected_raise_is_retried_not_fatal(self):
         data = corpus(seed=8)
@@ -112,10 +150,11 @@ class TestKilledShards:
         result, report = evaluate_under(plan, "sum", data)
         assert result.rows == reference.rows
         assert report.retries >= 1
-        assert report.pool_rebuilds == 0  # plain exception, pool intact
+        assert report.respawns == 0  # plain exception, worker intact
 
 
 @needs_fork
+@pytest.mark.usefixtures("running_pool")
 class TestPoolWideDeath:
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_every_worker_dying_falls_back_in_process(self, aggregate):
@@ -132,11 +171,13 @@ class TestPoolWideDeath:
         )
         assert result.rows == reference.rows
         assert report.inprocess_shards == 4
+        assert report.respawns >= 4
         assert len(report.failures) == 4
         assert all(f.attempts == 2 for f in report.failures)
 
 
 @needs_fork
+@pytest.mark.usefixtures("running_pool")
 class TestPoisonedResults:
     def test_unpicklable_result_is_retried(self):
         data = corpus(seed=10)
@@ -156,6 +197,7 @@ class TestPoisonedResults:
 
 
 @needs_fork
+@pytest.mark.usefixtures("running_pool")
 class TestHungShards:
     def test_delayed_worker_times_out_and_retry_succeeds(self):
         data = corpus(seed=12)

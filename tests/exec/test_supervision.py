@@ -1,15 +1,19 @@
-"""ShardSupervisor unit behavior (no process pool needed)."""
+"""Supervision primitives and the in-process shard path (no pool needed)."""
 
 import pytest
 
+from repro.core.aggregates import get_aggregate
+from repro.core.columnar_sweep import window_rows
+from repro.exec import pool as pool_module
 from repro.exec.deadline import Deadline
 from repro.exec.errors import DeadlineExceeded
-from repro.exec.supervision import RetryPolicy, ShardSupervisor, SupervisionReport
+from repro.exec.pool import sweep_shards
+from repro.exec.supervision import RetryPolicy, SupervisionReport
 
-
-def square_task(args):
-    window, index, attempt, in_pool = args
-    return window * window
+STARTS = [0, 5, 9, 20, 31]
+ENDS = [12, 7, 40, 25, 33]
+VALUES = [3, 1, 4, 1, 5]
+WINDOWS = [(0, 9), (10, 19), (20, 29), (30, 39), (40, 2**62)]
 
 
 class TestRetryPolicy:
@@ -42,7 +46,7 @@ class TestSupervisionReport:
         assert not SupervisionReport(total_shards=4, pooled_shards=4).degraded
 
     @pytest.mark.parametrize(
-        "field", ["retries", "pool_rebuilds", "inprocess_shards"]
+        "field", ["retries", "respawns", "inprocess_shards"]
     )
     def test_any_recovery_marks_degraded(self, field):
         report = SupervisionReport(total_shards=4)
@@ -51,34 +55,34 @@ class TestSupervisionReport:
 
 
 class TestInProcessSupervision:
+    """With no pool running, :func:`sweep_shards` sweeps every window
+    here, in window order, checking the deadline between shards."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self):
+        pool_module.shutdown_default_pool()
+
     def test_results_arrive_in_window_order(self):
-        supervisor = ShardSupervisor(
-            square_task, [3, 1, 4, 1, 5], use_pool=False
+        aggregate = get_aggregate("sum")
+        results, report = sweep_shards(
+            STARTS, ENDS, VALUES, WINDOWS, aggregate
         )
-        assert supervisor.run() == [9, 1, 16, 1, 25]
-        assert supervisor.report.inprocess_shards == 5
-        assert supervisor.report.total_shards == 5
+        assert report is None
+        assert results == [
+            window_rows(STARTS, ENDS, VALUES, aggregate, lo, hi)
+            for lo, hi in WINDOWS
+        ]
 
     def test_empty_window_list(self):
-        supervisor = ShardSupervisor(square_task, [], use_pool=False)
-        assert supervisor.run() == []
+        assert sweep_shards(
+            STARTS, ENDS, VALUES, [], get_aggregate("count")
+        ) == ([], None)
 
     def test_deadline_checked_between_shards(self):
         deadline = Deadline(0.0001)
-        supervisor = ShardSupervisor(
-            square_task, [1, 2, 3], use_pool=False, deadline=deadline
-        )
         with pytest.raises(DeadlineExceeded) as info:
-            supervisor.run()
+            sweep_shards(
+                STARTS, ENDS, VALUES, WINDOWS[:3], get_aggregate("sum"),
+                deadline=deadline,
+            )
         assert info.value.progress["total_shards"] == 3
-
-    def test_fallback_task_sees_in_pool_false(self):
-        seen = []
-
-        def spy(args):
-            seen.append(args)
-            return 0
-
-        ShardSupervisor(spy, ["w"], use_pool=False).run()
-        ((window, index, attempt, in_pool),) = seen
-        assert window == "w" and index == 0 and in_pool is False

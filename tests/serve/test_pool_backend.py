@@ -13,7 +13,8 @@ The two acceptance claims of the backend at the serving layer:
   aggregates.
 
 Plus the hygiene bookend: a server that started the pool unlinks every
-shared-memory segment when it stops.
+shared-memory segment when it stops — and the off switch: a server with
+``pool_workers=0`` never forks at all.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ import threading
 
 import pytest
 
+from repro.exec import pool as pool_module
 from repro.exec.faults import FaultPlan, ShardFault, fault_plan
+from repro.relation.relation import TemporalRelation
+from repro.relation.schema import EMPLOYED_SCHEMA
+from repro.relation.tuples import TemporalTuple
 from repro.serve import QueryClient
 from repro.serve.swarm import SwarmStep, run_swarm, verify_swarm
 
@@ -281,3 +286,42 @@ class TestPoolBackedSwarm:
             assert stats["pool"]["forks"] == 1
             assert stats["pool"]["live_segments"] > 0
         assert shm_names() == before
+
+
+def unsorted_relation(n: int) -> TemporalRelation:
+    """A large, far-from-sorted relation with many distinct endpoints:
+    the planner's columnar/parallel sweep regime."""
+    rows = [
+        TemporalTuple(
+            (f"p{i}", (i * 37) % 1000),
+            (i * 7919) % 100_003,
+            (i * 7919) % 100_003 + i % 50,
+        )
+        for i in range(n)
+    ]
+    return TemporalRelation(EMPLOYED_SCHEMA, rows, name="jobs")
+
+
+class TestPoolOff:
+    def test_pool_workers_zero_never_forks(self, monkeypatch):
+        """``ServerConfig(pool_workers=0)`` evaluates in-process: a cold
+        SUM over a 32K unsorted relation, on a host offering two cores
+        (two shards), starts no pool and leaves no child process."""
+        monkeypatch.delenv("REPRO_POOL_MIN_TUPLES", raising=False)
+        monkeypatch.delenv("REPRO_POOL_WORKERS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        pool_module.shutdown_default_pool()
+        try:
+            with serve(
+                unsorted_relation(32_768), workers=2, pool_workers=0,
+                **HIGH_LADDER,
+            ) as runner:
+                with QueryClient(runner.host, runner.port) as client:
+                    reply = client.query(SUM)
+                    stats = client.stats()
+            assert reply.rows
+            assert stats["pool"]["forks"] == 0
+            assert pool_module.active_pool() is None
+            assert multiprocessing.active_children() == []
+        finally:
+            pool_module.shutdown_default_pool()

@@ -32,7 +32,7 @@ QUERIES = [COUNT, SUM, MINMAX, AVG, MIXED]
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="shard faults fire inside fork-started pool workers",
+    reason="shard faults fire inside resident pool workers",
 )
 
 
@@ -66,9 +66,10 @@ class TestSwarmAcceptance:
         client kills, 1 injected server-side shard fault: every
         surviving reply is row-identical to the serial reference."""
         n = 64
-        # Make the parallel plan's process pool reachable at this size,
-        # so the injected shard fault fires inside a real pool worker.
-        monkeypatch.setattr("repro.core.parallel.POOL_MIN_TUPLES", 16)
+        # Make the resident pool reachable at this size (the server
+        # starts it with pool_workers=2), so the injected shard fault
+        # fires inside a real pool worker.
+        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "16")
         scripts = [
             reader_script(0),
             reader_script(1),
@@ -98,7 +99,7 @@ class TestSwarmAcceptance:
         # correctness* (degradation is exercised elsewhere), and the
         # FORCE_PAGED override must not displace the parallel hint.
         with serve(
-            make_relation(n), workers=4, max_sessions=32,
+            make_relation(n), workers=4, max_sessions=32, pool_workers=2,
             shed_load=50.0, degrade_load=80.0, reject_load=100.0,
         ) as runner:
             with fault_plan(plan):
@@ -106,6 +107,9 @@ class TestSwarmAcceptance:
             # The server survives the swarm and still answers.
             with QueryClient(runner.host, runner.port) as client:
                 assert client.query(COUNT).rows
+                stats = client.stats()
+        # The parallel statements' shards really ran in pool workers.
+        assert stats["pool"]["shards"] > 0
 
         killed = [r for r in reports if r.killed]
         assert len(killed) == 2
