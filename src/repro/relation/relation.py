@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columns import ColumnSet
 
 from repro.core.interval import FOREVER, Interval, InvalidIntervalError
-from repro.core.ordering import k_ordered_percentage, k_orderedness
+from repro.core.ordering import displacements
 from repro.exec.errors import InvalidInput
 from repro.relation.schema import Schema
 from repro.relation.tuples import TemporalTuple, timestamp_sort_key
@@ -152,6 +152,37 @@ class RelationStatistics:
             return 0.0
         return self.long_lived_count / self.tuple_count
 
+    @classmethod
+    def from_keys(cls, keys: Sequence[Tuple[int, int]]) -> "RelationStatistics":
+        """The statistics of ``(start, end)`` keys in storage order.
+
+        The one computation behind every container's ``statistics()``.
+        A tuple is long-lived when it covers at least 20 % of the
+        lifespan; the displacements against the sorted order are
+        computed once and yield both ``k`` and the k-ordered-percentage.
+        """
+        if not keys:
+            return cls(0, 0, 0, None, True, 0, 0.0)
+        stamps = set()
+        for start, end in keys:
+            stamps.add(start)
+            stamps.add(end)
+        stamps.discard(FOREVER)
+        span = Interval(min(key[0] for key in keys), max(key[1] for key in keys))
+        threshold = 0.2 * span.duration
+        long_lived = sum(1 for start, end in keys if end - start + 1 >= threshold)
+        distances = displacements(keys)
+        k = max(distances)
+        return cls(
+            tuple_count=len(keys),
+            unique_timestamps=len(stamps),
+            long_lived_count=long_lived,
+            lifespan=span,
+            is_totally_ordered=(k == 0),
+            k=k,
+            k_ordered_percentage=sum(distances) / (k * len(keys)) if k else 0.0,
+        )
+
 
 class TemporalRelation:
     """An ordered, in-memory bag of temporal tuples over one schema."""
@@ -176,9 +207,12 @@ class TemporalRelation:
         #: from the rows (statistics, cached results) can key on it.
         self.version = 0
         self._reorder_version = 0
-        self._fingerprint = 0
-        for row in self._rows:
-            self._fingerprint = fold_fingerprint(self._fingerprint, row)
+        #: ``(rows_folded, fingerprint)``: the chain over the first
+        #: ``rows_folded`` rows, extended on read by :attr:`fingerprint`.
+        #: Always assigned whole, so a reader never sees a torn pair;
+        #: every stored pair is a valid prefix chain, so two racing
+        #: reads at worst fold the same rows twice.
+        self._fingerprint_state: Tuple[int, int] = (0, 0)
         self._statistics_cache: Optional[Tuple[int, RelationStatistics]] = None
         #: Version-keyed flat-column snapshots per attribute (None =
         #: timestamps only); served until the next mutation bumps
@@ -279,11 +313,8 @@ class TemporalRelation:
         self._note_appended(added)
 
     def _note_appended(self, rows: Sequence[TemporalTuple]) -> None:
-        """Account one append batch: version bump + fingerprint fold."""
-        fingerprint = self._fingerprint
-        for row in rows:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        self._fingerprint = fingerprint
+        """Account one append batch: one version bump.  The fingerprint
+        folds the new rows when it is next read."""
         self.version += 1
         self._statistics_cache = None
 
@@ -304,17 +335,6 @@ class TemporalRelation:
         """A copy of the row list (mutating it does not affect the relation)."""
         return list(self._rows)
 
-    def iter_prefix(self, count: int) -> Iterator[TemporalTuple]:
-        """Yield the first ``count`` rows without copying the row list.
-
-        The serving layer's snapshot views read a pinned prefix of a
-        relation other sessions keep appending to.  Appends only ever
-        grow the underlying list (rows are immutable and never move),
-        so iterating the first ``count`` positions is consistent even
-        while concurrent appends land past them.
-        """
-        return itertools.islice(self._rows, count)
-
     def scan(self) -> Iterator[TemporalTuple]:
         """One sequential scan of the relation, counted for accounting.
 
@@ -322,8 +342,12 @@ class TemporalRelation:
         input (Section 6); Tuma's baseline makes two.  Tests assert on
         :attr:`scan_count` to verify that property.
         """
-        self.scan_count += 1
+        self._count_scan()
         return iter(self._rows)
+
+    def _count_scan(self) -> None:
+        """Count one full scan (``scan``, ``scan_triples``, ``columns``)."""
+        self.scan_count += 1
 
     def scan_triples(
         self, attribute: Optional[str] = None
@@ -339,7 +363,7 @@ class TemporalRelation:
         else:
             position = self.schema.position_of(attribute)
             extractor = lambda row: row.values[position]
-        self.scan_count += 1
+        self._count_scan()
         for row in self._rows:
             yield (row.start, row.end, extractor(row))
 
@@ -369,7 +393,7 @@ class TemporalRelation:
         if cached is not None and cached[0] == self.version:
             snapshot: ColumnSet = cached[1]
             return snapshot
-        self.scan_count += 1
+        self._count_scan()
         starts = array("q")
         ends = array("q")
         append_start = starts.append
@@ -427,16 +451,13 @@ class TemporalRelation:
     def sort_in_place(self) -> None:
         """Sort this relation's rows by (start, end).
 
-        An in-place reorder is *not* an append: the fingerprint is
-        rebuilt from scratch and the append watermark advances, so
+        An in-place reorder is *not* an append: the fingerprint chain
+        restarts from the first row and the append watermark advances, so
         cached results computed against the old row order can neither
         pure-hit nor delta-refresh — they must recompute.
         """
         self._rows.sort(key=timestamp_sort_key)
-        fingerprint = 0
-        for row in self._rows:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        self._fingerprint = fingerprint
+        self._fingerprint_state = (0, 0)
         self.version += 1
         self._reorder_version = self.version
         self._statistics_cache = None
@@ -447,8 +468,19 @@ class TemporalRelation:
 
     @property
     def fingerprint(self) -> int:
-        """Chained content fingerprint over the rows, in row order."""
-        return self._fingerprint
+        """Chained content fingerprint over the rows, in row order.
+
+        Folded lazily: a read extends the chain over the rows appended
+        since the previous read, so a relation whose fingerprint nobody
+        reads (a WHERE subset, a sorted copy) never pays the fold.
+        """
+        folded, fingerprint = self._fingerprint_state
+        count = len(self._rows)
+        if folded < count:
+            for row in itertools.islice(self._rows, folded, count):
+                fingerprint = fold_fingerprint(fingerprint, row)
+            self._fingerprint_state = (count, fingerprint)
+        return fingerprint
 
     @property
     def append_watermark(self) -> int:
@@ -486,7 +518,7 @@ class TemporalRelation:
             return False
         for row in self._rows[row_count:]:
             fingerprint = fold_fingerprint(fingerprint, row)
-        return fingerprint == self._fingerprint
+        return fingerprint == self.fingerprint
 
     def reordered(
         self, permutation: Sequence[int], name: Optional[str] = None
@@ -540,7 +572,7 @@ class TemporalRelation:
     def statistics(self) -> RelationStatistics:
         """Summary statistics used by the query planner (Section 6.3).
 
-        Computing these double-scans the relation, and every
+        Computing these sorts the relation's keys, and every
         ``strategy="auto"`` evaluation asks for them, so the (frozen)
         result is cached keyed by :attr:`version` — any mutation
         (insert, extend, or in-place reorder) moves the version and
@@ -552,21 +584,8 @@ class TemporalRelation:
             and self._statistics_cache[0] == self.version
         ):
             return self._statistics_cache[1]
-        span = self.lifespan
-        span_length = span.duration if span is not None else 0
-        long_lived = sum(
-            1 for row in self._rows if span_length and row.is_long_lived(span_length)
-        )
-        starts = [timestamp_sort_key(row) for row in self._rows]
-        k = k_orderedness(starts)
-        statistics = RelationStatistics(
-            tuple_count=len(self._rows),
-            unique_timestamps=self.unique_timestamps(),
-            long_lived_count=long_lived,
-            lifespan=span,
-            is_totally_ordered=(k == 0),
-            k=k,
-            k_ordered_percentage=k_ordered_percentage(starts, k) if k else 0.0,
+        statistics = RelationStatistics.from_keys(
+            [(row.start, row.end) for row in self._rows]
         )
         self._statistics_cache = (self.version, statistics)
         return statistics

@@ -522,7 +522,7 @@ class QueryServer:
                 "ok": True,
                 "op": "query",
                 "columns": list(result.columns),
-                "rows": [list(row) for row in result.rows],
+                "rows": result.rows,
                 "pinned": {
                     "table": served.name,
                     "version": view.version,

@@ -9,24 +9,26 @@ append-only discipline plus prefix pinning:
   through one lock and map one client operation to exactly one version
   bump (:meth:`~repro.relation.relation.TemporalRelation.append_batch`),
   so a version number identifies an exact prefix of append batches.
-* :meth:`ServedRelation.pin` captures ``(version, row_count,
-  fingerprint)`` under that lock and wraps them in a
-  :class:`SnapshotView` — a read-only view of the first ``row_count``
-  rows.  Existing rows are immutable and appends only grow the row
-  list, so the view's prefix stays byte-identical no matter how many
-  appends land after the pin (CPython's list append never moves
-  already-published elements under readers).
+* :meth:`ServedRelation.pin` copies the current row references under
+  that lock and wraps them in a :class:`SnapshotView` with the current
+  version.  The copy is one O(n) pointer copy of immutable rows, so
+  appends that land after the pin never reach the view.
 
-A :class:`SnapshotView` speaks the full result-cache protocol with the
-**base relation's uid** and its own pinned version/fingerprint.  That
-is what makes the shared server cache work across concurrent appends:
-a result computed at version ``v`` pure-hits any later statement
-pinned at ``v``, and a statement pinned at ``v+k`` append-delta
-refreshes it over exactly the ``k`` batches in between
-(:meth:`SnapshotView.triples_since` /
-:meth:`SnapshotView.verify_append_chain` operate on the pinned
-prefix).  No locks are held while evaluating — pinning is the only
-synchronized step.
+A :class:`SnapshotView` *is* a :class:`TemporalRelation` over its
+pinned rows: scans, statistics, column snapshots, sorting and the
+result-cache protocol are the relation's own methods.  It adopts the
+**base relation's uid**, the pinned version, the base's append
+watermark, and the furthest fingerprint fold state any earlier pin
+reached, so its fingerprint is the base's chain at the pinned version
+and its first read folds only rows no earlier pin folded.  A statement
+that never reads it (a filtered one, which bypasses the cache) folds
+nothing.  That is what makes the shared server cache
+work across concurrent appends: a result computed at version ``v``
+pure-hits any later statement pinned at ``v``, and a statement pinned
+at ``v+k`` append-delta refreshes it over exactly the ``k`` batches in
+between.  Column snapshots carry the same ``(uid, version)``, so
+resident-pool segments key on the served relation too.  No locks are
+held while evaluating — pinning is the only synchronized step.
 
 Snapshot correctness relies on the served base being append-only;
 :class:`ServedRelation` exposes no reorder operation for exactly that
@@ -38,14 +40,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.relation.relation import RelationStatistics, TemporalRelation
+from repro.relation.relation import TemporalRelation
 from repro.relation.tuples import TemporalTuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.columns import ColumnSet
-    from repro.core.interval import Interval
 
 __all__ = ["SnapshotView", "ServedRelation", "PIN_MEMO_LIMIT"]
 
@@ -54,156 +52,45 @@ __all__ = ["SnapshotView", "ServedRelation", "PIN_MEMO_LIMIT"]
 PIN_MEMO_LIMIT = 8
 
 
-class SnapshotView:
-    """A read-only prefix of a relation, pinned at one version.
+class SnapshotView(TemporalRelation):
+    """A relation holding the first ``row_count`` rows of ``base``,
+    with the base's identity as of one pinned version.
 
-    Presents enough of the :class:`TemporalRelation` surface for the
-    executor and the engine (scan, statistics, columns, sort) plus the
-    full result-cache protocol, all restricted to the pinned prefix.
-    Views are shared across worker threads — every method is safe to
-    call concurrently.
+    Views are shared across worker threads.  Their rows never change
+    after construction, so reads are lock-free (two racing first reads
+    of the fingerprint at worst fold the same rows twice); only the
+    scan counter takes a lock.
     """
-
-    supports_result_cache = True
 
     def __init__(
         self,
         base: TemporalRelation,
         version: int,
         row_count: int,
-        fingerprint: int,
+        fingerprint_state: Tuple[int, int],
     ) -> None:
-        self._base = base
-        self.schema = base.schema
-        self.name = f"{base.name}@v{version}"
+        super().__init__(
+            base.schema, islice(base, row_count), name=f"{base.name}@v{version}"
+        )
         #: The *base* relation's uid: snapshots of one relation share
         #: cache entries, which is the whole point of pinning.
         self.uid = base.uid
         self.version = version
-        self.fingerprint = fingerprint
-        self._row_count = row_count
+        #: A ``(rows_folded, fingerprint)`` chain over a prefix of the
+        #: pinned rows; the first :attr:`fingerprint` read folds the rest.
+        self._fingerprint_state = fingerprint_state
+        self._reorder_version = base.append_watermark
         self._stats_lock = threading.Lock()
         self.scan_count = 0  # ta: guarded-by(self._stats_lock)
-        self._materialize_lock = threading.Lock()
-        # Deliberately lock-free on the read side (double-checked
-        # publication): _working() reads it unlocked on the fast path
-        # and only takes _materialize_lock to build-and-publish once.
-        # Safe under the GIL — the reference assignment is atomic and
-        # the relation is fully built before it is published.
-        self._materialized: Optional[TemporalRelation] = None  # ta: unguarded
 
-    # ------------------------------------------------------------------
-    # Row access (prefix-limited, copy-free)
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._row_count
-
-    def __iter__(self) -> Iterator[TemporalTuple]:
-        return self._base.iter_prefix(self._row_count)
-
-    def rows(self) -> List[TemporalTuple]:
-        return list(self._base.iter_prefix(self._row_count))
-
-    def scan(self) -> Iterator[TemporalTuple]:
-        # Views are shared across worker threads; the unlocked += here
-        # was a lost-update race between concurrent statements.
+    def _count_scan(self) -> None:
+        # Views are shared across worker threads; an unlocked += here
+        # loses updates between concurrent statements.
         with self._stats_lock:
             self.scan_count += 1
-        return self._base.iter_prefix(self._row_count)
-
-    def scan_triples(
-        self, attribute: Optional[str] = None
-    ) -> Iterator[Tuple[int, int, Any]]:
-        extractor = self.value_extractor(attribute)
-        with self._stats_lock:
-            self.scan_count += 1
-        for row in self._base.iter_prefix(self._row_count):
-            yield (row.start, row.end, extractor(row))
-
-    def value_extractor(
-        self, attribute: Optional[str]
-    ) -> Callable[[TemporalTuple], Any]:
-        return self._base.value_extractor(attribute)
-
-    # ------------------------------------------------------------------
-    # Result-cache protocol (prefix-limited)
-    # ------------------------------------------------------------------
-
-    @property
-    def append_watermark(self) -> int:
-        # Served bases are append-only, so this is always 0 — delegated
-        # rather than hard-coded so a reordered base (which would
-        # invalidate every pinned prefix) poisons cache validity checks
-        # instead of silently serving stale rows.
-        return self._base.append_watermark
-
-    def triples_since(
-        self, index: int, attribute: Optional[str] = None
-    ) -> List[Tuple[int, int, Any]]:
-        extractor = self.value_extractor(attribute)
-        tail = islice(self._base.iter_prefix(self._row_count), index, None)
-        return [(row.start, row.end, extractor(row)) for row in tail]
-
-    def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
-        """Is this view's pinned fingerprint reachable by appending rows
-        ``row_count:`` of the pinned prefix onto ``fingerprint``?"""
-        from repro.relation.relation import fold_fingerprint
-
-        if row_count > self._row_count:
-            return False
-        tail = islice(self._base.iter_prefix(self._row_count), row_count, None)
-        for row in tail:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        return fingerprint == self.fingerprint
-
-    # ------------------------------------------------------------------
-    # Derived structures (via a lazily materialized private copy)
-    # ------------------------------------------------------------------
-
-    def _working(self) -> TemporalRelation:
-        """A private materialized copy of the pinned prefix.
-
-        Statistics, column snapshots, and sort-first plans want a plain
-        relation; building one per view (not per statement — views are
-        memoized per version) keeps those paths unchanged.  Lazy and
-        double-checked: concurrent statements sharing the view build it
-        once.
-        """
-        materialized = self._materialized
-        if materialized is None:
-            with self._materialize_lock:
-                materialized = self._materialized
-                if materialized is None:
-                    materialized = TemporalRelation(
-                        self.schema,
-                        self._base.iter_prefix(self._row_count),
-                        name=self.name,
-                    )
-                    self._materialized = materialized
-        return materialized
-
-    def statistics(self) -> RelationStatistics:
-        return self._working().statistics()
-
-    def sorted_by_time(self, name: Optional[str] = None) -> TemporalRelation:
-        return self._working().sorted_by_time(name)
-
-    def columns(self, attribute: Optional[str] = None) -> "ColumnSet":
-        return self._working().columns(attribute)
-
-    def unique_timestamps(self) -> int:
-        return self._working().unique_timestamps()
-
-    @property
-    def lifespan(self) -> Optional["Interval"]:
-        return self._working().lifespan
 
     def __repr__(self) -> str:
-        return (
-            f"SnapshotView({self._base.name!r} uid={self.uid} "
-            f"v{self.version}, {self._row_count} rows)"
-        )
+        return f"SnapshotView({self.name!r} uid={self.uid}, {len(self)} rows)"
 
 
 class ServedRelation:
@@ -218,18 +105,26 @@ class ServedRelation:
     def pin(self) -> SnapshotView:
         """A snapshot view of the relation as of right now.
 
-        The (version, row_count, fingerprint) triple is read under the
-        append lock, so a pin can never observe a half-applied batch.
-        Views are memoized per version: concurrent statements at the
-        same version share one view (and its materialized copy).
+        The version, the rows and the fingerprint fold state are read
+        under the append lock, so a pin can never observe a
+        half-applied batch.  Views are memoized per version: concurrent
+        statements at the same version share one view (and its
+        statistics and column snapshots).
         """
         with self._lock:
-            version = self.base.version
+            base = self.base
+            version = base.version
             view = self._pins.get(version)
             if view is None:
-                view = SnapshotView(
-                    self.base, version, len(self.base), self.base.fingerprint
+                # Every memoized view's fold state chains a prefix of the
+                # base's rows (appends only grow them), so the new view
+                # starts from the furthest one: its first fingerprint
+                # read folds only rows that no earlier pin has folded.
+                state = max(
+                    [base._fingerprint_state]
+                    + [pinned._fingerprint_state for pinned in self._pins.values()]
                 )
+                view = SnapshotView(base, version, len(base), state)
                 self._pins[version] = view
                 while len(self._pins) > PIN_MEMO_LIMIT:
                     self._pins.popitem(last=False)

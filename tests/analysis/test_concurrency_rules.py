@@ -172,8 +172,9 @@ class TestRealTreeIsClean:
         )
         models = build_class_models(snapshots)
         view = models["SnapshotView"]
+        assert view.locks == {"_stats_lock": "Lock"}
         assert view.guarded["scan_count"] == frozenset({"_stats_lock"})
-        assert "_materialized" in view.unguarded
+        assert not view.unguarded
 
         admission = SourceFile.parse(
             REPO_ROOT / "src" / "repro" / "serve" / "admission.py"

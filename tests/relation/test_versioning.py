@@ -3,9 +3,14 @@ append chains — and the stale-statistics regression they fix."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import repro.relation.relation as relation_module
 from repro.core.planner import choose_strategy
 from repro.relation.relation import (
     TemporalRelation,
+    fingerprint_rows,
     fold_fingerprint,
     next_relation_uid,
 )
@@ -75,6 +80,72 @@ class TestFingerprint:
         for row in relation.scan():
             folded = fold_fingerprint(folded, row)
         assert folded == relation.fingerprint
+
+
+class TestLazyFingerprint:
+    """The chain folds on read; every value equals the eager chain."""
+
+    def test_reads_between_appends_match_a_fold_from_scratch(self):
+        relation = TemporalRelation(EMPLOYED_SCHEMA)
+        assert relation.fingerprint == 0
+        for i, (name, salary, start, end) in enumerate(SORTED_ROWS):
+            relation.insert((name, salary), start, end)
+            if i % 2:
+                assert relation.fingerprint == fingerprint_rows(relation.rows())
+        relation.append_batch([(("Curtis", 60_000), 30, 39)])
+        relation.extend(tiny_relation(SORTED_ROWS).rows())
+        assert relation.fingerprint == fingerprint_rows(relation.rows())
+
+    def test_building_and_appending_fold_nothing_until_read(self, monkeypatch):
+        folded = []
+        fold = relation_module.fold_fingerprint
+        monkeypatch.setattr(
+            relation_module,
+            "fold_fingerprint",
+            lambda fingerprint, row: folded.append(row) or fold(fingerprint, row),
+        )
+        relation = tiny_relation(SORTED_ROWS)
+        relation.sorted_by_time()
+        assert folded == []
+        relation.fingerprint
+        assert len(folded) == len(SORTED_ROWS)
+        relation.insert(("Curtis", 60_000), 30, 39)
+        relation.fingerprint
+        relation.fingerprint
+        assert len(folded) == len(SORTED_ROWS) + 1
+
+    def test_concurrent_first_reads_agree(self):
+        relation = TemporalRelation(EMPLOYED_SCHEMA)
+        relation.append_batch(
+            [((f"r{i}", i), i % 97, i % 97 + 5) for i in range(2000)]
+        )
+        expected = fingerprint_rows(relation.rows())
+        barrier = threading.Barrier(6)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10.0)
+            seen.append(relation.fingerprint)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 6
+        assert relation._fingerprint_state == (2000, expected)
+
+    def test_sort_in_place_restarts_the_chain(self):
+        relation = tiny_relation(list(reversed(SORTED_ROWS)))
+        relation.fingerprint
+        relation.sort_in_place()
+        assert relation.fingerprint == tiny_relation(SORTED_ROWS).fingerprint
 
 
 class TestAppendChain:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import threading
 
 import pytest
 
+import repro.relation.relation as relation_module
 from repro.cache.store import ShardResultCache, cacheable_relation
 from repro.cache.evaluator import evaluate_cached
+from repro.relation.relation import TemporalRelation
 from repro.serve.snapshots import PIN_MEMO_LIMIT, ServedRelation, SnapshotView
 from repro.tsql2.executor import Database
 
@@ -154,8 +157,8 @@ class TestCacheProtocol:
         assert cache.counters.cache_misses == 1
 
 
-class TestConcurrentMaterialization:
-    def test_working_copy_is_built_once(self):
+class TestConcurrentStatistics:
+    def test_concurrent_statistics_agree(self):
         view = served(32).pin()
         barrier = threading.Barrier(4)
         seen = []
@@ -171,3 +174,73 @@ class TestConcurrentMaterialization:
             thread.join(timeout=30.0)
         assert len(seen) == 4
         assert all(s.tuple_count == 32 for s in seen)
+        assert all(s == seen[0] for s in seen)
+
+
+@pytest.fixture
+def folded_rows(monkeypatch):
+    """Every row passed to the relation module's fingerprint fold."""
+    folded = []
+    fold = relation_module.fold_fingerprint
+
+    def counting_fold(fingerprint, row):
+        folded.append(row)
+        return fold(fingerprint, row)
+
+    monkeypatch.setattr(relation_module, "fold_fingerprint", counting_fold)
+    return folded
+
+
+class TestViewIsARelation:
+    def test_view_subclasses_temporal_relation(self):
+        view = served(8).pin()
+        assert isinstance(view, TemporalRelation)
+        methods = {
+            name for name, value in vars(SnapshotView).items()
+            if inspect.isfunction(value) or isinstance(value, property)
+        }
+        assert methods <= {"__init__", "_count_scan", "__repr__"}
+
+    def test_pin_and_auto_sum_fold_only_the_new_batch(self, folded_rows):
+        # Large enough for the planner's cached_sweep rule, which reads
+        # the fingerprint; the repeat makes the signature known.
+        relation = served(4096)
+        database = Database()
+        database.register(relation.pin(), name="jobs")
+        database.execute("SELECT SUM(salary) FROM jobs")
+        database.execute("SELECT SUM(salary) FROM jobs")
+
+        relation.append_batch([(("late", 7), 3, 40), (("later", 9), 5, 60)])
+        batch = {id(row) for row in relation.base.rows()[-2:]}
+        folded_rows.clear()
+        database = Database()
+        database.register(relation.pin(), name="jobs")
+        database.execute("SELECT SUM(salary) FROM jobs")
+        assert folded_rows
+        assert {id(row) for row in folded_rows} <= batch
+
+    def test_pin_and_where_statement_fold_no_row(self, folded_rows):
+        relation = served(64)
+        folded_rows.clear()
+        database = Database()
+        database.register(relation.pin(), name="jobs")
+        result = database.execute("SELECT SUM(salary) FROM jobs WHERE salary > 20")
+        assert len(result) > 0
+        assert folded_rows == []
+
+    def test_view_columns_carry_the_served_identity(self):
+        relation = served(16)
+        relation.append_batch([(("late", 7), 3, 40)])
+        view = relation.pin()
+        columns = view.columns("salary")
+        assert columns.uid == relation.base.uid
+        assert columns.version == view.version
+        assert view.version == relation.base.version >= 1
+
+    def test_view_keeps_its_rows_when_the_base_reorders(self):
+        relation = served(16)
+        view = relation.pin()
+        rows_before = view.rows()
+        relation.base.sort_in_place()
+        assert view.rows() == rows_before
+        assert view.verify_append_chain(0, 0)

@@ -2,11 +2,16 @@
 
 import pytest
 
+import repro.relation.relation as relation_module
 from repro.core.interval import FOREVER
+from repro.core.ordering import k_ordered_percentage, k_orderedness
+from repro.relation.relation import TemporalRelation
 from repro.relation.schema import EMPLOYED_SCHEMA
 from repro.relation.tuples import TemporalTuple
 from repro.storage.heapfile import HeapFile
 from repro.workload.employed import employed_relation
+from repro.workload.generator import WorkloadParameters, generate_relation
+from repro.workload.permute import disorder_relation
 
 
 class TestInMemoryHeap:
@@ -137,3 +142,58 @@ class TestVersionKeyedStatistics:
         fresh = heap.statistics()
         assert len(heap) == count  # no append happened...
         assert fresh is not stale  # ...yet the snapshot was recomputed
+
+
+def _statistics_relation(shape):
+    if shape == "empty":
+        return TemporalRelation(EMPLOYED_SCHEMA)
+    if shape == "sorted":
+        return generate_relation(WorkloadParameters(300, seed=1)).sorted_by_time()
+    if shape == "k_ordered":
+        return disorder_relation(
+            generate_relation(WorkloadParameters(300, seed=2)), 20, 0.08, seed=2
+        )
+    if shape == "unsorted":
+        return generate_relation(WorkloadParameters(300, seed=3))
+    return generate_relation(WorkloadParameters(300, long_lived_percent=80, seed=4))
+
+
+class TestOneStatisticsComputation:
+    SHAPES = ["empty", "sorted", "k_ordered", "unsorted", "long_lived_80"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_heap_and_relation_statistics_agree(self, shape):
+        relation = _statistics_relation(shape)
+        assert HeapFile.from_relation(relation).statistics() == relation.statistics()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fields_match_the_ordering_metrics(self, shape):
+        relation = _statistics_relation(shape)
+        keys = [(row.start, row.end) for row in relation]
+        stats = relation.statistics()
+        k = k_orderedness(keys)
+        assert stats.k == k
+        assert stats.is_totally_ordered == (k == 0)
+        assert stats.k_ordered_percentage == (
+            k_ordered_percentage(keys, k) if k else 0.0
+        )
+        assert stats.tuple_count == len(relation)
+        assert stats.unique_timestamps == relation.unique_timestamps()
+        assert stats.lifespan == relation.lifespan
+        if shape == "long_lived_80":
+            assert stats.long_lived_fraction > 0.5
+        if shape == "k_ordered":
+            assert 0 < stats.k <= 20
+
+    def test_one_displacement_pass_per_statistics_call(self, monkeypatch):
+        calls = []
+        real = relation_module.displacements
+        monkeypatch.setattr(
+            relation_module,
+            "displacements",
+            lambda keys: calls.append(len(keys)) or real(keys),
+        )
+        relation = _statistics_relation("unsorted")
+        relation.statistics()
+        HeapFile.from_relation(relation).statistics()
+        assert calls == [len(relation), len(relation)]
